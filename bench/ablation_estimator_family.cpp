@@ -3,7 +3,6 @@
 // parametric Markov-chain MLE (§8 future work), and bootstrap confidence
 // intervals (§8 future work) — all computed from the same probe trace.
 #include <cstdio>
-#include <unordered_map>
 
 #include "common.h"
 #include "core/bootstrap.h"
@@ -34,17 +33,11 @@ int main() {
     const auto res = tool.analyze(marking);
     const bb::TimeNs slot = tool.slot_width();
 
-    // Rebuild the per-experiment reports to feed the Markov and bootstrap
-    // machinery (the same records analyze() consumed).
-    CongestionMarker marker{marking};
-    const auto marks = marker.mark(tool.outcomes());
-    std::unordered_map<SlotIndex, bool> congested;
-    for (const auto& m : marks) congested[m.slot] = m.congested;
-    const auto reports = score_experiments(tool.design().experiments,
-                                           [&congested](SlotIndex s) {
-                                               const auto it = congested.find(s);
-                                               return it != congested.end() && it->second;
-                                           });
+    // The per-experiment reports for the Markov and bootstrap machinery (the
+    // same records analyze() consumed).
+    VectorSink<ExperimentResult> scored;
+    tool.emit_reports(marking, scored);
+    const auto reports = scored.take();
     const auto markov = estimate_markov(tally_pairs(reports));
 
     BootstrapConfig bcfg;

@@ -10,7 +10,6 @@
 #include "core/estimators.h"
 #include "core/probe_process.h"
 #include "core/synthetic.h"
-#include "core/validation.h"
 #include "util/rng.h"
 
 int main() {
@@ -35,27 +34,24 @@ int main() {
         observe_with_fidelity(design.experiments, truth_series, FidelityModel{0.9, 0.6}, rng);
 
     // The analysis: exactly what you would run on real receiver logs.
-    EstimatorAccumulator acc;
-    for (const auto& r : reports) acc.add(r);
-
-    const auto freq = acc.frequency();
-    const auto basic = acc.duration_basic();
-    const auto improved = acc.duration_improved();
-    const auto validation = validate(acc.counts());
+    StateCounts counts;
+    for (const auto& r : reports) counts.add(r);
+    const Estimates est = estimate_all(counts);
 
     std::printf("experiments analyzed : %llu basic + %llu extended\n",
-                static_cast<unsigned long long>(acc.counts().basic_total()),
-                static_cast<unsigned long long>(acc.counts().extended_total()));
+                static_cast<unsigned long long>(counts.basic_total()),
+                static_cast<unsigned long long>(counts.extended_total()));
     std::printf("true frequency       : %.5f\n", truth.frequency);
-    std::printf("estimated frequency  : %.5f\n", freq.value);
+    std::printf("estimated frequency  : %.5f\n", est.frequency.value);
     std::printf("true duration        : %.2f slots\n", truth.mean_duration_slots);
     std::printf("basic estimator      : %.2f slots  <- biased low, assumes p1 == p2\n",
-                basic.valid ? basic.slots : 0.0);
+                est.duration_basic.valid ? est.duration_basic.slots : 0.0);
     std::printf("improved estimator   : %.2f slots  (r_hat = %.3f)\n",
-                improved.valid ? improved.slots : 0.0, improved.r_hat.value_or(0.0));
+                est.duration_improved.valid ? est.duration_improved.slots : 0.0,
+                est.duration_improved.r_hat.value_or(0.0));
     std::printf("validation           : pair asymmetry %.3f, violations %.4f -> %s\n",
-                validation.pair_asymmetry, validation.violation_fraction,
-                validation.acceptable() ? "estimates usable" : "estimates suspect");
+                est.validation.pair_asymmetry, est.validation.violation_fraction,
+                est.validation.acceptable() ? "estimates usable" : "estimates suspect");
     std::printf("\nsee Section 7 guidance: expected StdDev(duration) ~ %.3f for this run\n",
                 duration_stddev_guidance(pcfg.p, slots,
                                           static_cast<double>(truth.episodes) /

@@ -6,7 +6,6 @@
 // symmetry assumptions have converged — the "self-calibrating" usage the
 // paper advocates for wide-area deployment.
 #include <cstdio>
-#include <unordered_map>
 
 #include "core/estimators.h"
 #include "core/marking.h"
@@ -25,11 +24,6 @@ core::StateCounts counts_up_to(const probes::BadabingTool& tool,
     for (const auto& po : tool.outcomes()) {
         if (po.send_time < horizon) outcomes.push_back(po);
     }
-    core::CongestionMarker marker{marking};
-    const auto marks = marker.mark(outcomes);
-    std::unordered_map<core::SlotIndex, bool> congested;
-    for (const auto& m : marks) congested[m.slot] = m.congested;
-
     const core::SlotIndex last_slot =
         outcomes.empty() ? 0 : outcomes.back().slot;
     std::vector<core::Experiment> done;
@@ -37,12 +31,10 @@ core::StateCounts counts_up_to(const probes::BadabingTool& tool,
         if (e.start_slot + e.probes() - 1 <= last_slot) done.push_back(e);
     }
     core::StateCounts counts;
-    for (const auto& r : core::score_experiments(done, [&congested](core::SlotIndex s) {
-             const auto it = congested.find(s);
-             return it != congested.end() && it->second;
-         })) {
-        counts.add(r);
-    }
+    auto tally = core::make_fn_sink<core::ExperimentResult>(
+        [&counts](const core::ExperimentResult& r) { counts.add(r); });
+    core::CongestionMarker marker{marking};
+    core::score_marks_into(done, marker.mark(outcomes), tally);
     return counts;
 }
 
@@ -85,17 +77,16 @@ int main() {
     for (TimeNs t = seconds_i(30); t <= workload.duration; t += seconds_i(30)) {
         experiment.testbed().sched().run_until(t);
         const auto counts = counts_up_to(tool, marking, t - seconds_i(1));
-        const auto freq = core::estimate_frequency(counts);
-        const auto dur = core::estimate_duration_improved(counts);
-        const auto validation = core::validate(counts);
+        const auto est = core::estimate_all(counts);
         const auto decision = rule.evaluate(counts);
         const char* decision_str =
             decision == core::StoppingRule::Decision::stop_valid     ? "STOP (valid)"
             : decision == core::StoppingRule::Decision::stop_invalid ? "STOP (invalid)"
                                                                      : "keep going";
-        std::printf("%-8.0f | %-9.4f | %-11.3f | %-10.3f | %s\n", t.to_seconds(), freq.value,
-                    dur.valid ? dur.slots * 0.005 : 0.0, validation.pair_asymmetry,
-                    decision_str);
+        std::printf("%-8.0f | %-9.4f | %-11.3f | %-10.3f | %s\n", t.to_seconds(),
+                    est.frequency.value,
+                    est.duration_improved.valid ? est.duration_improved.slots * 0.005 : 0.0,
+                    est.validation.pair_asymmetry, decision_str);
         if (decision != core::StoppingRule::Decision::keep_going) {
             stopped = true;
             // Finish the workload so ground truth covers the same window.

@@ -85,6 +85,11 @@ DurationEstimate estimate_duration_improved(const StateCounts& counts,
     return est;
 }
 
+Estimates estimate_all(const StateCounts& counts, const EstimatorOptions& opts) {
+    return {estimate_frequency(counts, opts), estimate_duration_basic(counts, opts),
+            estimate_duration_improved(counts, opts), validate(counts)};
+}
+
 double duration_stddev_guidance(double p, std::int64_t total_slots,
                                 double episodes_per_slot) noexcept {
     const double denom = p * static_cast<double>(total_slots) * episodes_per_slot;

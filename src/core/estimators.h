@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/report_sink.h"
 #include "core/types.h"
+#include "core/validation.h"
 #include "util/time.h"
 
 namespace bb::core {
@@ -61,32 +61,18 @@ struct DurationEstimate {
 [[nodiscard]] double duration_stddev_guidance(double p, std::int64_t total_slots,
                                               double episodes_per_slot) noexcept;
 
-// Streaming accumulator: feed experiment reports as they complete, snapshot
-// estimates at any time.  Supports the open-ended/adaptive experimentation
-// style of §5.1 and §7.  As a ReportSink it plugs directly into the
-// streaming pipeline (probe layer, StreamingExperimentScorer).
-class EstimatorAccumulator final : public ReportSink {
-public:
-    explicit EstimatorAccumulator(EstimatorOptions opts = {}) : opts_{opts} {}
-
-    void add(const ExperimentResult& r) noexcept { counts_.add(r); }
-    void consume(const ExperimentResult& r) override { add(r); }
-
-    [[nodiscard]] const StateCounts& counts() const noexcept { return counts_; }
-    [[nodiscard]] FrequencyEstimate frequency() const {
-        return estimate_frequency(counts_, opts_);
-    }
-    [[nodiscard]] DurationEstimate duration_basic() const {
-        return estimate_duration_basic(counts_, opts_);
-    }
-    [[nodiscard]] DurationEstimate duration_improved() const {
-        return estimate_duration_improved(counts_, opts_);
-    }
-
-private:
-    EstimatorOptions opts_;
-    StateCounts counts_;
+// Every §5 quantity over one tally: F̂, both D̂ forms and the §5.4
+// validation report.  This is the single StateCounts -> estimates function;
+// StreamingAnalyzer::finalize() and every snapshot go through it.
+struct Estimates {
+    FrequencyEstimate frequency;
+    DurationEstimate duration_basic;
+    DurationEstimate duration_improved;
+    ValidationReport validation;
 };
+
+[[nodiscard]] Estimates estimate_all(const StateCounts& counts,
+                                     const EstimatorOptions& opts = {});
 
 }  // namespace bb::core
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "core/probe_process.h"
 #include "obs/metrics.h"
 #include "util/contract.h"
 
@@ -104,6 +105,23 @@ std::vector<SlotMark> CongestionMarker::mark(const std::vector<ProbeOutcome>& pr
     const std::uint64_t clear = marks.size() - by_loss - by_ce - by_delay;
     if (clear > 0) clear_ctr.inc(clear);
     return marks;
+}
+
+MarkScorer::MarkScorer(const std::vector<SlotMark>& marks, ReportSink& out) : out_{&out} {
+    for (const auto& m : marks) congested_[m.slot] = m.congested;
+}
+
+void MarkScorer::consume(const Experiment& e) {
+    out_->consume(score_experiment(e, [this](SlotIndex s) {
+        const auto it = congested_.find(s);
+        return it != congested_.end() && it->second;
+    }));
+}
+
+void score_marks_into(const std::vector<Experiment>& experiments,
+                      const std::vector<SlotMark>& marks, ReportSink& sink) {
+    MarkScorer scorer{marks, sink};
+    for (const auto& e : experiments) scorer.consume(e);
 }
 
 }  // namespace bb::core

@@ -18,8 +18,10 @@
 
 #include <cstddef>
 #include <deque>
+#include <map>
 #include <vector>
 
+#include "core/report_sink.h"
 #include "core/types.h"
 #include "util/time.h"
 
@@ -65,6 +67,27 @@ private:
     TimeNs owd_max_{TimeNs::zero()};
     TimeNs base_delay_{TimeNs::zero()};
 };
+
+// The one path from slot marks to experiment reports.  Each experiment fed
+// to consume() is scored against the marks and its report forwarded to
+// `out`.  A slot with no mark is uncongested; a slot marked more than once
+// (possible in external traces) takes its last mark.  As a Sink<Experiment>
+// it scores a design streamed record by record; score_marks_into() covers a
+// design held in memory.
+class MarkScorer final : public Sink<Experiment> {
+public:
+    MarkScorer(const std::vector<SlotMark>& marks, ReportSink& out);
+
+    void consume(const Experiment& e) override;
+
+private:
+    // Ordered by slot (determinism rule no-unordered-container, DESIGN.md §14).
+    std::map<SlotIndex, bool> congested_;
+    ReportSink* out_;
+};
+
+void score_marks_into(const std::vector<Experiment>& experiments,
+                      const std::vector<SlotMark>& marks, ReportSink& sink);
 
 }  // namespace bb::core
 

@@ -65,22 +65,27 @@ private:
 // overlapping experiments, which only reduces it).
 [[nodiscard]] double expected_probe_slot_fraction(const ProbeProcessConfig& cfg) noexcept;
 
+// Score one experiment against a per-slot congestion marking:
+// `congested(slot)` must return the mark for each slot the experiment probes.
+template <typename MarkFn>
+[[nodiscard]] ExperimentResult score_experiment(const Experiment& e, MarkFn&& congested) {
+    if (e.kind == ExperimentKind::basic) {
+        return {ExperimentKind::basic,
+                basic_code(congested(e.start_slot), congested(e.start_slot + 1))};
+    }
+    return {ExperimentKind::extended,
+            extended_code(congested(e.start_slot), congested(e.start_slot + 1),
+                          congested(e.start_slot + 2))};
+}
+
 // Turn a design plus a per-slot congestion marking into experiment reports,
 // streamed into `sink` in start-slot order.  `congested(slot)` must return
-// the mark for every slot in probe_slots.
+// the mark for every slot in probe_slots.  Marks produced by
+// CongestionMarker go through score_marks_into (core/marking.h) instead.
 template <typename MarkFn>
 void score_experiments_into(const std::vector<Experiment>& experiments, MarkFn&& congested,
                             ReportSink& sink) {
-    for (const auto& e : experiments) {
-        if (e.kind == ExperimentKind::basic) {
-            sink.consume({ExperimentKind::basic,
-                          basic_code(congested(e.start_slot), congested(e.start_slot + 1))});
-        } else {
-            sink.consume({ExperimentKind::extended,
-                          extended_code(congested(e.start_slot), congested(e.start_slot + 1),
-                                        congested(e.start_slot + 2))});
-        }
-    }
+    for (const auto& e : experiments) sink.consume(score_experiment(e, congested));
 }
 
 // Batch wrapper around the streaming scorer.

@@ -41,24 +41,6 @@ private:
     std::vector<T> items_;
 };
 
-// Fan one stream out to several consumers (e.g. tallies + a trace writer).
-// Does not own the sinks; they must outlive the tee.
-template <typename T>
-class TeeSink final : public Sink<T> {
-public:
-    TeeSink() = default;
-    explicit TeeSink(std::vector<Sink<T>*> sinks) : sinks_{std::move(sinks)} {}
-
-    void add(Sink<T>& sink) { sinks_.push_back(&sink); }
-
-    void consume(const T& value) override {
-        for (Sink<T>* s : sinks_) s->consume(value);
-    }
-
-private:
-    std::vector<Sink<T>*> sinks_;
-};
-
 // Wrap a callable as a sink (adapter for lambdas at pipeline edges).
 template <typename T, typename Fn>
 class FnSink final : public Sink<T> {
@@ -74,21 +56,6 @@ template <typename T, typename Fn>
 [[nodiscard]] FnSink<T, Fn> make_fn_sink(Fn fn) {
     return FnSink<T, Fn>{std::move(fn)};
 }
-
-// O(1) report tally: StateCounts is the sufficient statistic for all of the
-// §5.2/§5.3 estimators and the §5.4 validation tests.
-class CountsSink final : public ReportSink {
-public:
-    void consume(const ExperimentResult& r) override { counts_.add(r); }
-
-    [[nodiscard]] const StateCounts& counts() const noexcept { return counts_; }
-    [[nodiscard]] std::uint64_t reports() const noexcept {
-        return counts_.basic_total() + counts_.extended_total();
-    }
-
-private:
-    StateCounts counts_;
-};
 
 }  // namespace bb::core
 

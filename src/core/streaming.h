@@ -1,13 +1,12 @@
-// Online (one-pass, O(1)-memory) forms of the paper's estimators and
-// validation tests.  Each accumulator is a ReportSink: feed experiment
-// reports as they complete; finalize() is bit-identical to running the batch
-// functions in estimators.h / validation.h over the same report sequence,
-// because both paths reduce to the same integer tallies and evaluate the
-// same floating-point expressions on them.
+// The §5 analysis as one ReportSink: StreamingAnalyzer tallies experiment
+// reports into a StateCounts as they complete (O(1) memory) and evaluates
+// every estimate over whatever has been consumed so far through
+// estimate_all(), the same function a batch caller applies to its own
+// tally — so streaming and batch cannot disagree.
 //
-// Unlike the batch path, the EstimatorOptions are fixed when the accumulator
-// is constructed (a streaming observer cannot re-tally the past), so choose
-// them up front when re-analysis under different options is needed.
+// The EstimatorOptions are fixed when the analyzer is constructed (a
+// streaming observer cannot re-tally the past), so choose them up front when
+// re-analysis under different options is needed.
 #ifndef BB_CORE_STREAMING_H
 #define BB_CORE_STREAMING_H
 
@@ -16,7 +15,6 @@
 #include "core/estimators.h"
 #include "core/report_sink.h"
 #include "core/types.h"
-#include "core/validation.h"
 
 namespace bb::obs {
 class Counter;
@@ -24,68 +22,11 @@ class Counter;
 
 namespace bb::core {
 
-// F̂ = Σ z_i / M from running tallies of first digits (§5.2.2).
-class OnlineFrequency final : public ReportSink {
-public:
-    explicit OnlineFrequency(EstimatorOptions opts = {}) : opts_{opts} {}
-
-    void consume(const ExperimentResult& r) override;
-
-    [[nodiscard]] FrequencyEstimate finalize() const;
-
-private:
-    EstimatorOptions opts_;
-    std::uint64_t ones_{0};
-    std::uint64_t samples_{0};
-};
-
-// D̂ from running R/S (and U/V for the improved algorithm) tallies
-// (§5.2.2 basic, §5.3 improved).
-class OnlineDuration final : public ReportSink {
-public:
-    explicit OnlineDuration(EstimatorOptions opts = {}) : opts_{opts} {}
-
-    void consume(const ExperimentResult& r) override;
-
-    [[nodiscard]] DurationEstimate finalize_basic() const;
-    [[nodiscard]] DurationEstimate finalize_improved() const;
-
-private:
-    EstimatorOptions opts_;
-    std::uint64_t R_{0};
-    std::uint64_t S_{0};
-    std::uint64_t U_{0};
-    std::uint64_t V_{0};
-};
-
-// §5.4 validation tallies.  The tests need nearly the full report histogram,
-// so the sufficient statistic is StateCounts itself (still O(1)); finalize
-// delegates to validate() for guaranteed agreement with the batch path.
-class OnlineValidation final : public ReportSink {
-public:
-    void consume(const ExperimentResult& r) override { counts_.add(r); }
-
-    [[nodiscard]] ValidationReport finalize() const { return validate(counts_); }
-    [[nodiscard]] StoppingRule::Decision evaluate(const StoppingRule& rule) const {
-        return rule.evaluate(counts_);
-    }
-    [[nodiscard]] const StateCounts& counts() const noexcept { return counts_; }
-
-private:
-    StateCounts counts_;
-};
-
-// The full §5 analysis as one sink: frequency + basic/improved duration +
-// validation, evaluated over whatever has been consumed so far.  This is the
-// streaming replacement for "collect a report vector, then run the batch
+// The streaming replacement for "collect a report vector, then run the batch
 // estimators" and the engine behind the tools' --stream mode.
 class StreamingAnalyzer final : public ReportSink {
 public:
-    struct Result {
-        FrequencyEstimate frequency;
-        DurationEstimate duration_basic;
-        DurationEstimate duration_improved;
-        ValidationReport validation;
+    struct Result : Estimates {
         std::uint64_t reports{0};
     };
 
@@ -100,24 +41,14 @@ public:
 
     [[nodiscard]] Result finalize() const;
 
-    // BB_AUDIT walker: recompute every estimate from the batch functions over
-    // the accumulated StateCounts and require bit-identical agreement with
-    // the online tallies (the PR-2 design guarantee, now enforced at runtime
-    // in audit builds).  Aborts via BB_CHECK on divergence.
-    void check_against_batch(const Result& res) const;
-
-    [[nodiscard]] const OnlineFrequency& frequency() const noexcept { return frequency_; }
-    [[nodiscard]] const OnlineDuration& duration() const noexcept { return duration_; }
-    [[nodiscard]] const OnlineValidation& validation() const noexcept { return validation_; }
-    [[nodiscard]] const StateCounts& counts() const noexcept { return validation_.counts(); }
-    [[nodiscard]] std::uint64_t reports() const noexcept { return reports_; }
+    [[nodiscard]] const StateCounts& counts() const noexcept { return counts_; }
+    [[nodiscard]] std::uint64_t reports() const noexcept {
+        return counts_.basic_total() + counts_.extended_total();
+    }
 
 private:
     EstimatorOptions opts_;
-    OnlineFrequency frequency_;
-    OnlineDuration duration_;
-    OnlineValidation validation_;
-    std::uint64_t reports_{0};
+    StateCounts counts_;
     // Registry handle cached at construction so the hot consume() path pays
     // one relaxed atomic add, never a registry lookup.
     obs::Counter* reports_ctr_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/probe_process.h"
+#include "core/report_sink.h"
 
 namespace bb::probes {
 
@@ -107,25 +107,19 @@ core::StateCounts AdaptiveBadabingTool::counts_up_to(TimeNs horizon) const {
                   return a.send_time < b.send_time;
               });
 
-    core::CongestionMarker marker{cfg_.marking};
-    const auto marks = marker.mark(outcomes);
-    std::map<core::SlotIndex, bool> congested;
-    for (const auto& m : marks) congested[m.slot] = m.congested;
-
     std::vector<core::Experiment> complete;
     complete.reserve(experiments_.size());
     for (const auto& e : experiments_) {
         if (e.start_slot + e.probes() - 1 <= last_settled) complete.push_back(e);
     }
-    core::CountsSink counts;
-    core::score_experiments_into(
-        complete,
-        [&congested](core::SlotIndex s) {
-            const auto it = congested.find(s);
-            return it != congested.end() && it->second;
-        },
-        counts);
-    return counts.counts();
+    // A plain tally, not a StreamingAnalyzer: re-scoring the past at every
+    // evaluation must not fold reports into the run-state hash chain.
+    core::StateCounts counts;
+    auto tally = core::make_fn_sink<core::ExperimentResult>(
+        [&counts](const core::ExperimentResult& r) { counts.add(r); });
+    core::CongestionMarker marker{cfg_.marking};
+    core::score_marks_into(complete, marker.mark(outcomes), tally);
+    return counts;
 }
 
 void AdaptiveBadabingTool::evaluate() {
@@ -141,13 +135,7 @@ void AdaptiveBadabingTool::evaluate() {
 }
 
 AdaptiveBadabingTool::Snapshot AdaptiveBadabingTool::snapshot() const {
-    Snapshot snap;
-    const auto counts = counts_up_to(sched_->now());
-    snap.frequency = core::estimate_frequency(counts);
-    snap.duration_basic = core::estimate_duration_basic(counts);
-    snap.duration_improved = core::estimate_duration_improved(counts);
-    snap.validation = core::validate(counts);
-    return snap;
+    return core::estimate_all(counts_up_to(sched_->now()));
 }
 
 }  // namespace bb::probes

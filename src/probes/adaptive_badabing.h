@@ -61,12 +61,7 @@ public:
 
     // Estimates over everything measured so far (or the final data after the
     // rule fired).
-    struct Snapshot {
-        core::FrequencyEstimate frequency;
-        core::DurationEstimate duration_basic;
-        core::DurationEstimate duration_improved;
-        core::ValidationReport validation;
-    };
+    using Snapshot = core::Estimates;
     [[nodiscard]] Snapshot snapshot() const;
 
 private:

@@ -100,29 +100,23 @@ std::vector<core::ProbeOutcome> BadabingTool::outcomes() const {
 
 void BadabingTool::emit_reports(const core::MarkingConfig& marking,
                                 core::ReportSink& sink) const {
-    const std::vector<core::ProbeOutcome> probe_outcomes = outcomes();
+    score_outcomes(outcomes(), marking, sink);
+}
 
+void BadabingTool::score_outcomes(const std::vector<core::ProbeOutcome>& probe_outcomes,
+                                  const core::MarkingConfig& marking,
+                                  core::ReportSink& sink) const {
     core::CongestionMarker marker{marking};
-    const std::vector<core::SlotMark> marks = marker.mark(probe_outcomes);
-
-    std::map<core::SlotIndex, bool> congested;
-    for (const auto& m : marks) congested[m.slot] = m.congested;
-
-    core::score_experiments_into(
-        design_.experiments,
-        [&congested](core::SlotIndex s) {
-            const auto it = congested.find(s);
-            return it != congested.end() && it->second;
-        },
-        sink);
+    core::score_marks_into(design_.experiments, marker.mark(probe_outcomes), sink);
 }
 
 BadabingResult BadabingTool::analyze(const core::MarkingConfig& marking,
                                      core::EstimatorOptions opts) const {
     const obs::Span span{"badabing.analyze", "probes"};
     BadabingResult res;
+    const std::vector<core::ProbeOutcome> probe_outcomes = outcomes();
     core::StreamingAnalyzer analyzer{opts};
-    emit_reports(marking, analyzer);
+    score_outcomes(probe_outcomes, marking, analyzer);
 
     const core::StreamingAnalyzer::Result summary = analyzer.finalize();
     // Every designed experiment must be scored exactly once: the §5.2.2
@@ -140,10 +134,9 @@ BadabingResult BadabingTool::analyze(const core::MarkingConfig& marking,
     res.packets_sent = packets_sent_;
     res.bytes_sent = bytes_sent_;
     res.experiments = design_.experiments.size();
-    auto count_lost = core::make_fn_sink<core::ProbeOutcome>([&res](const core::ProbeOutcome& po) {
+    for (const core::ProbeOutcome& po : probe_outcomes) {
         res.packets_lost += static_cast<std::uint64_t>(po.packets_lost);
-    });
-    stream_outcomes(count_lost);
+    }
     return res;
 }
 

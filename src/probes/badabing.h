@@ -119,6 +119,8 @@ private:
     };
 
     void emit_probe(core::SlotIndex slot);
+    void score_outcomes(const std::vector<core::ProbeOutcome>& probe_outcomes,
+                        const core::MarkingConfig& marking, core::ReportSink& sink) const;
 
     sim::Scheduler* sched_;
     BadabingConfig cfg_;

@@ -51,6 +51,9 @@ private:
     sim::FlowId flow_;
     sim::PacketSink* ack_path_;
     Options opts_;
+    // Per-receiver ACK id block: replicas on different threads share no
+    // counter (DESIGN.md §14).
+    std::uint64_t next_ack_id_;
 
     std::int64_t rcv_next_{0};                      // next expected byte
     std::map<std::int64_t, std::int64_t> pending_;  // out-of-order: start -> length

@@ -99,6 +99,11 @@ TEST(DeterminismHash, Table6WebScenario) {
 // What recording must NOT change is the estimates, pinned by
 // ExperimentRecorder.RecordingDoesNotChangeEstimates.
 TEST(DeterminismHash, RecordingIsPartOfThePlanDigest) {
+    // The recorder only samples while obs is enabled (BB_OBS=off turns it
+    // off, and the tools' explicit --series-out turns obs back on), so pin
+    // obs on: scripts/ci.sh also runs the suite under an ambient BB_OBS=off.
+    const bool obs_was_enabled = obs::enabled();
+    obs::set_enabled(true);
     ReplicaPlan plan;
     plan.workload.kind = TrafficKind::cbr_uniform;
     plan.workload.duration = seconds_i(6);
@@ -110,6 +115,7 @@ TEST(DeterminismHash, RecordingIsPartOfThePlanDigest) {
     const std::uint64_t recording = digest_of(plan, 1);
     EXPECT_EQ(digest_of(plan, 4), recording);
     EXPECT_NE(recording, plain);  // the sampling dispatches are folded
+    obs::set_enabled(obs_was_enabled);
 }
 
 // Hashing must not perturb the estimates themselves: the same plan with and

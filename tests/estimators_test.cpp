@@ -224,13 +224,17 @@ TEST(StdDevGuidance, MatchesFormula) {
     EXPECT_DOUBLE_EQ(duration_stddev_guidance(0.1, 0, 0.001), 0.0);
 }
 
-TEST(Accumulator, StreamsToSameAnswer) {
-    EstimatorAccumulator acc;
-    for (int i = 0; i < 10; ++i) acc.add(basic(0b01));
-    for (int i = 0; i < 10; ++i) acc.add(basic(0b10));
-    for (int i = 0; i < 40; ++i) acc.add(basic(0b11));
-    EXPECT_DOUBLE_EQ(acc.duration_basic().slots, 5.0);
-    EXPECT_DOUBLE_EQ(acc.frequency().value, 50.0 / 60.0);
+TEST(EstimateAll, BundlesEveryEstimate) {
+    StateCounts c;
+    for (int i = 0; i < 10; ++i) c.add(basic(0b01));
+    for (int i = 0; i < 10; ++i) c.add(basic(0b10));
+    for (int i = 0; i < 40; ++i) c.add(basic(0b11));
+    const Estimates est = estimate_all(c);
+    EXPECT_DOUBLE_EQ(est.duration_basic.slots, 5.0);
+    EXPECT_DOUBLE_EQ(est.frequency.value, 50.0 / 60.0);
+    EXPECT_FALSE(est.duration_improved.valid);  // no extended reports
+    EXPECT_EQ(est.validation.transitions, 20u);
+    EXPECT_EQ(est.validation.pair_asymmetry, 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/report_sink.h"
+
 namespace bb::core {
 namespace {
 
@@ -153,6 +157,60 @@ TEST(Marking, OwdWindowBoundsEstimates) {
         probe(3, 1, kBase + milliseconds(100)),
     });
     EXPECT_EQ(m.owd_max_estimate(), milliseconds(100));
+}
+
+SlotMark slot_mark(SlotIndex slot, bool congested) {
+    SlotMark m;
+    m.slot = slot;
+    m.congested = congested;
+    return m;
+}
+
+std::vector<ExperimentResult> score(const std::vector<Experiment>& design,
+                                    const std::vector<SlotMark>& marks) {
+    VectorSink<ExperimentResult> sink;
+    score_marks_into(design, marks, sink);
+    return sink.take();
+}
+
+TEST(MarkScorer, UnmarkedSlotIsUncongested) {
+    // Slot 11 carries no mark at all: it must read as 0, not as congestion.
+    const auto reports = score({{10, ExperimentKind::basic}, {20, ExperimentKind::extended}},
+                               {slot_mark(10, true), slot_mark(20, false),
+                                slot_mark(21, true), slot_mark(22, true)});
+    ASSERT_EQ(reports.size(), 2u);
+    EXPECT_EQ(reports[0].kind, ExperimentKind::basic);
+    EXPECT_EQ(reports[0].code, 0b10);
+    EXPECT_EQ(reports[1].kind, ExperimentKind::extended);
+    EXPECT_EQ(reports[1].code, 0b011);
+}
+
+TEST(MarkScorer, LastMarkWinsOnDuplicateSlot) {
+    // External traces can mark one slot twice; the later mark decides.
+    const std::vector<Experiment> design{{5, ExperimentKind::basic}};
+    EXPECT_EQ(score(design, {slot_mark(5, true), slot_mark(6, true), slot_mark(5, false)})[0].code,
+              0b01);
+    EXPECT_EQ(score(design, {slot_mark(5, false), slot_mark(5, true)})[0].code, 0b10);
+}
+
+TEST(MarkScorer, StreamedDesignMatchesVectorForm) {
+    const std::vector<Experiment> design{{0, ExperimentKind::basic},
+                                         {1, ExperimentKind::extended},
+                                         {7, ExperimentKind::basic}};
+    const std::vector<SlotMark> marks{slot_mark(1, true), slot_mark(3, true),
+                                      slot_mark(8, true)};
+    VectorSink<ExperimentResult> streamed;
+    MarkScorer scorer{marks, streamed};
+    for (const Experiment& e : design) scorer.consume(e);
+    const auto batch = score(design, marks);
+    ASSERT_EQ(streamed.items().size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(streamed.items()[i].kind, batch[i].kind);
+        EXPECT_EQ(streamed.items()[i].code, batch[i].code);
+    }
+    EXPECT_EQ(batch[0].code, 0b01);
+    EXPECT_EQ(batch[1].code, 0b101);
+    EXPECT_EQ(batch[2].code, 0b01);
 }
 
 }  // namespace

@@ -172,6 +172,10 @@ TEST(Recorder, ExportToTraceEmitsSimCounterEvents) {
 
 TEST(Recorder, ExportToTraceIsNoOpWithoutActiveTrace) {
     ObsOn guard;
+    // BB_OBS_TRACE=1 (one of the scripts/ci.sh suite runs) starts a trace
+    // ambiently; this case needs none.
+    const bool trace_was_active = Trace::active();
+    Trace::stop();
     Trace::clear();
     Recorder rec{small_cfg()};
     double level = 1.0;
@@ -179,6 +183,7 @@ TEST(Recorder, ExportToTraceIsNoOpWithoutActiveTrace) {
     rec.sample(0);
     rec.export_to_trace();
     EXPECT_EQ(Trace::buffered_sim_events(), 0u);
+    if (trace_was_active) Trace::start();
 }
 
 }  // namespace

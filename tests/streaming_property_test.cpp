@@ -1,17 +1,16 @@
-// Property tests for the streaming pipeline's bit-identity guarantee: for
-// random report sequences, random congestion series, and adversarial
-// boundary patterns, the online accumulators must agree EXACTLY (==, not
-// nearly) with the batch estimators, because both paths reduce to the same
-// integer tallies and evaluate the same floating-point expressions.
+// Property tests for the streaming pipeline.  StreamingAnalyzer::finalize()
+// must agree EXACTLY (==, not nearly) with the test-local closed-form oracle
+// (estimator_oracle.h) for random report sequences and adversarial boundary
+// patterns under every EstimatorOptions setting; the streaming designer,
+// scorer and truth accumulators must reproduce their batch counterparts.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/estimators.h"
 #include "core/probe_process.h"
 #include "core/streaming.h"
 #include "core/synthetic.h"
-#include "core/validation.h"
+#include "estimator_oracle.h"
 #include "measure/episodes.h"
 #include "util/rng.h"
 
@@ -36,60 +35,26 @@ std::vector<ExperimentResult> random_reports(Rng& rng, std::size_t n,
     return out;
 }
 
-void expect_streaming_equals_batch(const std::vector<ExperimentResult>& reports,
-                                   const EstimatorOptions& opts) {
-    StreamingAnalyzer analyzer{opts};
-    StateCounts counts;
-    for (const auto& r : reports) {
-        analyzer.consume(r);
-        counts.add(r);
-    }
-    const auto res = analyzer.finalize();
-
-    const FrequencyEstimate bf = estimate_frequency(counts, opts);
-    EXPECT_EQ(res.frequency.value, bf.value);
-    EXPECT_EQ(res.frequency.samples, bf.samples);
-
-    const DurationEstimate bd = estimate_duration_basic(counts, opts);
-    EXPECT_EQ(res.duration_basic.slots, bd.slots);
-    EXPECT_EQ(res.duration_basic.R, bd.R);
-    EXPECT_EQ(res.duration_basic.S, bd.S);
-    EXPECT_EQ(res.duration_basic.valid, bd.valid);
-
-    const DurationEstimate bi = estimate_duration_improved(counts, opts);
-    EXPECT_EQ(res.duration_improved.slots, bi.slots);
-    EXPECT_EQ(res.duration_improved.valid, bi.valid);
-    ASSERT_EQ(res.duration_improved.r_hat.has_value(), bi.r_hat.has_value());
-    if (bi.r_hat) {
-        EXPECT_EQ(*res.duration_improved.r_hat, *bi.r_hat);
-    }
-
-    const ValidationReport bv = validate(counts);
-    EXPECT_EQ(res.validation.pair_asymmetry, bv.pair_asymmetry);
-    EXPECT_EQ(res.validation.transitions, bv.transitions);
-    EXPECT_EQ(res.validation.single_rate_spread, bv.single_rate_spread);
-    EXPECT_EQ(res.validation.ext_pair_asymmetry, bv.ext_pair_asymmetry);
-    EXPECT_EQ(res.validation.violations, bv.violations);
-    EXPECT_EQ(res.validation.violation_fraction, bv.violation_fraction);
-}
-
 TEST(StreamingEquivalence, RandomReportSequences) {
     Rng rng{0xFEED};
     for (int trial = 0; trial < 50; ++trial) {
         const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 400));
         const double ext = rng.uniform(0.0, 1.0);
         const auto reports = random_reports(rng, n, ext);
-        EstimatorOptions opts;
-        opts.frequency_from_extended = rng.bernoulli(0.5);
-        opts.pairs_from_extended = rng.bernoulli(0.5);
-        expect_streaming_equals_batch(reports, opts);
+        for (const EstimatorOptions& opts : oracle::every_option()) {
+            SCOPED_TRACE(testing::Message() << "trial " << trial << " from_ext "
+                                            << opts.frequency_from_extended << " pairs_ext "
+                                            << opts.pairs_from_extended);
+            oracle::expect_analyzer_matches_oracle(reports, opts);
+        }
     }
 }
 
 TEST(StreamingEquivalence, BoundaryPatterns) {
-    // Sequences engineered to stress run boundaries: a 01 transition as the
-    // very last report, a 10 transition as the very first, and all-identical
-    // runs of every code.
+    // Sequences engineered to stress the tallies: a 01 transition as the
+    // very last report, a 10 transition as the very first, all-identical
+    // runs of every code, and the degenerate denominators (S = 0, U = 0,
+    // V = 0, no basic or no extended reports).
     std::vector<std::vector<ExperimentResult>> cases;
     cases.push_back({{ExperimentKind::basic, 0b10},
                      {ExperimentKind::basic, 0b00},
@@ -103,11 +68,19 @@ TEST(StreamingEquivalence, BoundaryPatterns) {
     for (std::uint8_t code = 0; code < 8; ++code) {
         cases.emplace_back(64, ExperimentResult{ExperimentKind::extended, code});
     }
-    for (const auto& reports : cases) {
-        for (const bool pairs_ext : {false, true}) {
-            EstimatorOptions opts;
-            opts.pairs_from_extended = pairs_ext;
-            expect_streaming_equals_batch(reports, opts);
+    // U > 0 with V == 0: the improved estimator's V-as-1 branch.
+    cases.push_back({{ExperimentKind::basic, 0b01},
+                     {ExperimentKind::basic, 0b11},
+                     {ExperimentKind::extended, 0b011},
+                     {ExperimentKind::extended, 0b110}});
+    // Every report is a §5.4 violation.
+    cases.push_back({{ExperimentKind::extended, 0b010}, {ExperimentKind::extended, 0b101}});
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        for (const EstimatorOptions& opts : oracle::every_option()) {
+            SCOPED_TRACE(testing::Message() << "case " << i << " from_ext "
+                                            << opts.frequency_from_extended << " pairs_ext "
+                                            << opts.pairs_from_extended);
+            oracle::expect_analyzer_matches_oracle(cases[i], opts);
         }
     }
 }

@@ -1,17 +1,19 @@
 // Unit tests for the streaming measurement pipeline: sink adapters, the
-// online estimators/validation, the streaming experiment scorer, the
-// synthetic series generator, and the online episode/zing accumulators.
+// streaming analyzer (checked against the closed-form oracle in
+// estimator_oracle.h), the streaming experiment scorer, the synthetic series
+// generator, and the online episode/zing accumulators.
 #include "core/streaming.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 #include <vector>
 
-#include "core/estimators.h"
 #include "core/probe_process.h"
 #include "core/report_sink.h"
 #include "core/synthetic.h"
+#include "estimator_oracle.h"
 #include "measure/episodes.h"
 #include "probes/zing.h"
 #include "util/rng.h"
@@ -29,12 +31,6 @@ std::vector<ExperimentResult> crafted_reports() {
     };
 }
 
-StateCounts tally(const std::vector<ExperimentResult>& reports) {
-    StateCounts c;
-    for (const auto& r : reports) c.add(r);
-    return c;
-}
-
 TEST(Sinks, VectorSinkCollectsInOrder) {
     VectorSink<ExperimentResult> sink;
     for (const auto& r : crafted_reports()) sink.consume(r);
@@ -42,18 +38,6 @@ TEST(Sinks, VectorSinkCollectsInOrder) {
     EXPECT_EQ(sink.items()[3].code, 0b11);
     const auto taken = VectorSink<ExperimentResult>{sink}.take();
     EXPECT_EQ(taken.size(), 10u);
-}
-
-TEST(Sinks, TeeSinkFansOut) {
-    CountsSink a;
-    CountsSink b;
-    TeeSink<ExperimentResult> tee;
-    tee.add(a);
-    tee.add(b);
-    for (const auto& r : crafted_reports()) tee.consume(r);
-    EXPECT_EQ(a.reports(), 10u);
-    EXPECT_EQ(b.reports(), 10u);
-    EXPECT_EQ(a.counts().S(), b.counts().S());
 }
 
 TEST(Sinks, FnSinkInvokesCallable) {
@@ -65,106 +49,57 @@ TEST(Sinks, FnSinkInvokesCallable) {
     EXPECT_EQ(basic, 4);
 }
 
-TEST(Sinks, CountsSinkMatchesManualTally) {
-    CountsSink sink;
-    for (const auto& r : crafted_reports()) sink.consume(r);
-    const StateCounts batch = tally(crafted_reports());
-    EXPECT_EQ(sink.counts().R(), batch.R());
-    EXPECT_EQ(sink.counts().U(), batch.U());
-    EXPECT_EQ(sink.counts().V(), batch.V());
-    EXPECT_EQ(sink.reports(), 10u);
-}
-
-TEST(OnlineEstimators, FrequencyMatchesBatchExactly) {
-    for (const bool from_extended : {false, true}) {
-        EstimatorOptions opts;
-        opts.frequency_from_extended = from_extended;
-        OnlineFrequency online{opts};
-        for (const auto& r : crafted_reports()) online.consume(r);
-        const FrequencyEstimate batch = estimate_frequency(tally(crafted_reports()), opts);
-        const FrequencyEstimate stream = online.finalize();
-        EXPECT_EQ(stream.value, batch.value);
-        EXPECT_EQ(stream.samples, batch.samples);
+TEST(StreamingAnalyzer, MatchesOracleUnderEveryOption) {
+    for (const EstimatorOptions& opts : oracle::every_option()) {
+        oracle::expect_analyzer_matches_oracle(crafted_reports(), opts);
     }
 }
 
-TEST(OnlineEstimators, DurationMatchesBatchExactly) {
-    for (const bool pairs_ext : {false, true}) {
-        EstimatorOptions opts;
-        opts.pairs_from_extended = pairs_ext;
-        OnlineDuration online{opts};
-        for (const auto& r : crafted_reports()) online.consume(r);
-        const StateCounts counts = tally(crafted_reports());
-        const DurationEstimate bb = estimate_duration_basic(counts, opts);
-        const DurationEstimate sb = online.finalize_basic();
-        EXPECT_EQ(sb.slots, bb.slots);
-        EXPECT_EQ(sb.R, bb.R);
-        EXPECT_EQ(sb.S, bb.S);
-        EXPECT_EQ(sb.valid, bb.valid);
-        const DurationEstimate bi = estimate_duration_improved(counts, opts);
-        const DurationEstimate si = online.finalize_improved();
-        EXPECT_EQ(si.slots, bi.slots);
-        EXPECT_EQ(si.valid, bi.valid);
-        EXPECT_EQ(si.r_hat.has_value(), bi.r_hat.has_value());
-        if (bi.r_hat) {
-            EXPECT_EQ(*si.r_hat, *bi.r_hat);
-        }
-    }
-}
-
-TEST(OnlineEstimators, EmptySequenceIsInvalidNotNan) {
-    const OnlineFrequency freq;
-    EXPECT_FALSE(freq.finalize().valid());
-    const OnlineDuration dur;
-    EXPECT_FALSE(dur.finalize_basic().valid);
-    EXPECT_FALSE(dur.finalize_improved().valid);
-    const OnlineValidation val;
-    EXPECT_TRUE(val.finalize().acceptable());
-}
-
-TEST(OnlineEstimators, AllZeroReportsGiveZeroFrequency) {
-    OnlineFrequency freq;
-    OnlineDuration dur;
-    for (int i = 0; i < 100; ++i) {
-        const ExperimentResult r{ExperimentKind::basic, 0b00};
-        freq.consume(r);
-        dur.consume(r);
-    }
-    EXPECT_EQ(freq.finalize().value, 0.0);
-    EXPECT_EQ(freq.finalize().samples, 100u);
-    EXPECT_FALSE(dur.finalize_basic().valid);  // S == 0
-}
-
-TEST(OnlineEstimators, ValidationDelegatesToBatch) {
-    OnlineValidation online;
-    for (const auto& r : crafted_reports()) online.consume(r);
-    const ValidationReport batch = validate(tally(crafted_reports()));
-    const ValidationReport stream = online.finalize();
-    EXPECT_EQ(stream.pair_asymmetry, batch.pair_asymmetry);
-    EXPECT_EQ(stream.transitions, batch.transitions);
-    EXPECT_EQ(stream.violations, batch.violations);
-    EXPECT_EQ(stream.violation_fraction, batch.violation_fraction);
-}
-
-TEST(OnlineEstimators, AnalyzerComposesAllThree) {
+TEST(StreamingAnalyzer, CraftedReportsGiveHandComputedEstimates) {
+    // Default options: F̂ counts the lead digit of extended reports too.
+    // ones = {10, 11} + {100, 110, 111} = 5 of 10; R = 3, S = 2 -> basic
+    // D̂ = 2 (3/2 - 1) + 1 = 2; U = V = 2 -> r̂ = 1, improved D̂ = 2.
     StreamingAnalyzer analyzer;
     for (const auto& r : crafted_reports()) analyzer.consume(r);
     const auto res = analyzer.finalize();
-    const StateCounts counts = tally(crafted_reports());
-    EXPECT_EQ(res.frequency.value, estimate_frequency(counts).value);
-    EXPECT_EQ(res.duration_basic.slots, estimate_duration_basic(counts).slots);
-    EXPECT_EQ(res.duration_improved.slots, estimate_duration_improved(counts).slots);
-    EXPECT_EQ(res.validation.pair_asymmetry, validate(counts).pair_asymmetry);
     EXPECT_EQ(res.reports, 10u);
-    EXPECT_EQ(analyzer.counts().basic_total(), counts.basic_total());
+    EXPECT_EQ(res.frequency.value, 0.5);
+    EXPECT_EQ(res.frequency.samples, 10u);
+    EXPECT_EQ(res.duration_basic.slots, 2.0);
+    EXPECT_EQ(res.duration_improved.slots, 2.0);
+    EXPECT_EQ(res.duration_improved.r_hat.value_or(-1.0), 1.0);
+    EXPECT_EQ(res.validation.transitions, 2u);
+    EXPECT_EQ(res.validation.pair_asymmetry, 0.0);
+    EXPECT_EQ(res.validation.violations, 0u);
 }
 
-TEST(OnlineEstimators, EstimatorAccumulatorIsASink) {
-    EstimatorAccumulator acc;
-    ReportSink& sink = acc;
-    for (const auto& r : crafted_reports()) sink.consume(r);
-    EXPECT_EQ(acc.counts().basic_total(), 4u);
-    EXPECT_EQ(acc.frequency().value, estimate_frequency(tally(crafted_reports())).value);
+TEST(StreamingAnalyzer, CountsAndReportsMatchManualTally) {
+    StreamingAnalyzer analyzer;
+    for (const auto& r : crafted_reports()) analyzer.consume(r);
+    const StateCounts& c = analyzer.counts();
+    EXPECT_EQ(c.basic, (std::array<std::uint64_t, 4>{1, 1, 1, 1}));
+    EXPECT_EQ(c.extended, (std::array<std::uint64_t, 8>{1, 1, 0, 1, 1, 0, 1, 1}));
+    EXPECT_EQ(analyzer.reports(), 10u);
+}
+
+TEST(StreamingAnalyzer, EmptySequenceIsInvalidNotNan) {
+    const StreamingAnalyzer analyzer;
+    const auto res = analyzer.finalize();
+    EXPECT_EQ(res.reports, 0u);
+    EXPECT_FALSE(res.frequency.valid());
+    EXPECT_EQ(res.frequency.value, 0.0);
+    EXPECT_FALSE(res.duration_basic.valid);
+    EXPECT_FALSE(res.duration_improved.valid);
+    EXPECT_TRUE(res.validation.acceptable());
+}
+
+TEST(StreamingAnalyzer, AllZeroReportsGiveZeroFrequency) {
+    StreamingAnalyzer analyzer;
+    for (int i = 0; i < 100; ++i) analyzer.consume({ExperimentKind::basic, 0b00});
+    const auto res = analyzer.finalize();
+    EXPECT_EQ(res.frequency.value, 0.0);
+    EXPECT_EQ(res.frequency.samples, 100u);
+    EXPECT_FALSE(res.duration_basic.valid);  // S == 0
 }
 
 TEST(StreamingScorer, MatchesBatchDesignAndScoring) {
@@ -205,17 +140,17 @@ TEST(StreamingScorer, PendingExperimentsDroppedAtEndOfStream) {
     // been reported.
     ProbeProcessConfig cfg;
     cfg.p = 1.0;
-    CountsSink sink;
+    VectorSink<ExperimentResult> sink;
     StreamingExperimentScorer scorer{Rng{7}, cfg, sink};
     for (int s = 0; s < 10; ++s) scorer.step(false);
     EXPECT_EQ(scorer.experiments_started(), 10u);
     EXPECT_EQ(scorer.experiments_completed(), 9u);
     EXPECT_EQ(scorer.experiments_pending(), 1);
-    EXPECT_EQ(sink.reports(), 9u);
+    EXPECT_EQ(sink.items().size(), 9u);
 }
 
 TEST(StreamingScorer, RejectsInvalidConfig) {
-    CountsSink sink;
+    VectorSink<ExperimentResult> sink;
     ProbeProcessConfig bad;
     bad.p = 0.0;
     EXPECT_THROW((StreamingExperimentScorer{Rng{1}, bad, sink}), std::invalid_argument);

@@ -131,33 +131,31 @@ TEST(Validation, SingleExperimentOfEachCodeIsFinite) {
     }
 }
 
-TEST(Validation, StreamingOnlineValidationMatchesOnEdgeCases) {
-    // The streaming form must agree exactly with the batch form on the same
-    // degenerate inputs (empty, all-zeros, single report).
+TEST(Validation, StreamingAnalyzerEdgeCases) {
+    // The analyzer's validation report on degenerate inputs (empty, all-zero
+    // extended, a single report), checked against hand-computed values.
     {
-        const OnlineValidation empty;
-        const auto batch = validate(StateCounts{});
-        EXPECT_EQ(empty.finalize().pair_asymmetry, batch.pair_asymmetry);
-        EXPECT_EQ(empty.finalize().transitions, batch.transitions);
+        const StreamingAnalyzer empty;
+        const ValidationReport rep = empty.finalize().validation;
+        EXPECT_EQ(rep.pair_asymmetry, 0.0);
+        EXPECT_EQ(rep.transitions, 0u);
+        EXPECT_EQ(rep.violation_fraction, 0.0);
     }
     {
-        OnlineValidation online;
-        StateCounts counts;
-        for (int i = 0; i < 100; ++i) {
-            const ExperimentResult r{ExperimentKind::extended, 0b000};
-            online.consume(r);
-            counts.add(r);
-        }
-        EXPECT_EQ(online.finalize().violation_fraction, validate(counts).violation_fraction);
+        StreamingAnalyzer analyzer;
+        for (int i = 0; i < 100; ++i) analyzer.consume({ExperimentKind::extended, 0b000});
+        const ValidationReport rep = analyzer.finalize().validation;
+        EXPECT_EQ(rep.violation_fraction, 0.0);
+        EXPECT_EQ(rep.single_rate_spread, 0.0);  // every rate is 0
     }
     {
-        OnlineValidation online;
-        online.consume({ExperimentKind::basic, 0b01});
-        StateCounts counts;
-        counts.add({ExperimentKind::basic, 0b01});
-        EXPECT_EQ(online.finalize().pair_asymmetry, validate(counts).pair_asymmetry);
-        EXPECT_EQ(online.evaluate(StoppingRule{}),
-                  StoppingRule{}.evaluate(counts));
+        StreamingAnalyzer analyzer;
+        analyzer.consume({ExperimentKind::basic, 0b01});
+        const ValidationReport rep = analyzer.finalize().validation;
+        EXPECT_EQ(rep.pair_asymmetry, 1.0);
+        EXPECT_EQ(rep.transitions, 1u);
+        EXPECT_EQ(StoppingRule{}.evaluate(analyzer.counts()),
+                  StoppingRule::Decision::keep_going);  // 1 < min_transitions
     }
 }
 

@@ -230,6 +230,22 @@ int main(int argc, char** argv) {
         "hash-trace-capacity", 4096, "trace-ring size for --hash-trace-out");
     if (!flags.parse(argc, argv)) return flags.error().empty() ? 0 : 1;
 
+    // Range checks before anything is built: an out-of-range value would
+    // otherwise surface as an uncaught exception deep in construction.
+    if (!(*p > 0.0 && *p <= 1.0)) {
+        std::fprintf(stderr, "badabing_sim: --p must be in (0, 1], got %g\n", *p);
+        return 1;
+    }
+    if (*rate_mbps < 1 || *rate_mbps > 100'000) {
+        std::fprintf(stderr, "badabing_sim: --rate-mbps must be in [1, 100000], got %lld\n",
+                     static_cast<long long>(*rate_mbps));
+        return 1;
+    }
+    if (!(*mean_on >= 1.0 && *mean_off >= 1.0)) {
+        std::fprintf(stderr, "badabing_sim: --mean-on-slots and --mean-off-slots must be >= 1\n");
+        return 1;
+    }
+
     const bool want_hash = *state_hash || !hash_trace_out->empty();
     const auto trace_ring = static_cast<std::size_t>(
         hash_trace_out->empty() ? 0 : (*hash_trace_capacity < 1 ? 1 : *hash_trace_capacity));

@@ -215,13 +215,19 @@ int main(int argc, char** argv) {
                     core::RunHasher::hex(outcome.merged_state_hash).c_str(),
                     outcome.hashed_cells, outcome.cells.size());
     }
+    bool hash_trace_failed = false;
     if (!hash_trace_out->empty()) {
-        if (outcome.hash_trace != nullptr &&
-            write_text_file(*hash_trace_out, outcome.hash_trace->trace_json())) {
+        if (outcome.hash_trace == nullptr) {
+            // Cached cells are not re-run, so an all-cached sweep has no
+            // trace; that is expected, not an error.
+            std::fprintf(stderr, "bb_sweep: note: no hash trace to write (every cell was "
+                                 "cached)\n");
+        } else if (write_text_file(*hash_trace_out, outcome.hash_trace->trace_json())) {
             std::printf("hash-trace   : wrote %s\n", hash_trace_out->c_str());
         } else {
-            std::fprintf(stderr,
-                         "bb_sweep: no hash trace to write (every cell cached?)\n");
+            std::fprintf(stderr, "bb_sweep: cannot write hash trace to %s\n",
+                         hash_trace_out->c_str());
+            hash_trace_failed = true;
         }
     }
     std::printf("results: %s/\n", out_dir->c_str());
@@ -229,5 +235,6 @@ int main(int argc, char** argv) {
     const obs::ProcessStats ps = obs::process_stats();
     std::printf("process      : max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
                 static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);
-    return finish_obs(*metrics_json, *trace_out);
+    const int obs_rc = finish_obs(*metrics_json, *trace_out);
+    return hash_trace_failed ? 1 : obs_rc;
 }

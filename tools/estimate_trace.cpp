@@ -6,7 +6,8 @@
 //   $ badabing_sim --scenario=cbr --trace=run.csv --design=run.design
 //   $ estimate_trace --trace=run.csv --design=run.design --slot-ms=5
 #include <cstdio>
-#include <unordered_map>
+#include <exception>
+#include <vector>
 
 #include "core/bootstrap.h"
 #include "core/delay_stats.h"
@@ -46,6 +47,23 @@ int finish_obs(const std::string& metrics_path, const std::string& trace_path) {
     std::printf("process      : max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
                 static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);
     return rc;
+}
+
+void print_duration(const bb::core::Estimates& est, bb::TimeNs slot) {
+    std::printf("duration     : %.4f s (basic)",
+                est.duration_basic.valid ? est.duration_basic.seconds(slot) : 0.0);
+    if (est.duration_improved.valid) {
+        std::printf("  |  %.4f s (improved, r_hat %.3f)", est.duration_improved.seconds(slot),
+                    est.duration_improved.r_hat.value_or(0.0));
+    }
+    std::printf("\n");
+}
+
+void print_delays(const bb::core::DelaySummary& delays) {
+    if (!delays.valid()) return;
+    std::printf("delays       : base %.4f s, queueing p95 %.4f s, loss-conditional %.4f s\n",
+                delays.base_delay.to_seconds(), delays.p95_queueing_s,
+                delays.loss_conditional_queueing_s);
 }
 
 }  // namespace
@@ -96,138 +114,103 @@ int main(int argc, char** argv) {
         have_spec = true;
     }
 
-    const auto probes = read_trace_file(*trace_path);
-    const TimeNs slot = have_spec && !flags.is_set("slot-ms") ? spec.badabing.slot_width
-                                                              : milliseconds(*slot_ms);
+    try {
+        const auto probes = read_trace_file(*trace_path);
+        const TimeNs slot = have_spec && !flags.is_set("slot-ms") ? spec.badabing.slot_width
+                                                                  : milliseconds(*slot_ms);
 
-    MarkingConfig marking;
-    if (have_spec) marking = scenarios::marking_for(spec);
-    if (!have_spec || flags.is_set("alpha")) marking.alpha = *alpha;
-    if (!have_spec || flags.is_set("tau-ms")) marking.tau = milliseconds(*tau_ms);
-    CongestionMarker marker{marking};
-    const auto marks = marker.mark(probes);
-
-    std::unordered_map<SlotIndex, bool> congested;
-    congested.reserve(marks.size());
-    for (const auto& m : marks) congested[m.slot] = m.congested;
-    const auto is_congested = [&congested](SlotIndex s) {
-        const auto it = congested.find(s);
-        return it != congested.end() && it->second;
-    };
-
-    if (*stream) {
-        // The marker needs the full probe record (two-pass tau/alpha rule),
-        // but the design is scored record by record into the online
-        // estimators — no experiment or report vector is materialized.
-        StreamingAnalyzer analyzer;
-        std::uint64_t n_experiments = 0;
-        auto score = make_fn_sink<Experiment>([&](const Experiment& e) {
-            ++n_experiments;
-            if (e.kind == ExperimentKind::basic) {
-                analyzer.consume({ExperimentKind::basic,
-                                  basic_code(is_congested(e.start_slot),
-                                             is_congested(e.start_slot + 1))});
-            } else {
-                analyzer.consume({ExperimentKind::extended,
-                                  extended_code(is_congested(e.start_slot),
-                                                is_congested(e.start_slot + 1),
-                                                is_congested(e.start_slot + 2))});
-            }
-        });
-        for_each_design_record_file(*design_path, score);
-
-        const auto res = analyzer.finalize();
+        MarkingConfig marking;
+        if (have_spec) marking = scenarios::marking_for(spec);
+        if (!have_spec || flags.is_set("alpha")) marking.alpha = *alpha;
+        if (!have_spec || flags.is_set("tau-ms")) marking.tau = milliseconds(*tau_ms);
+        CongestionMarker marker{marking};
+        const auto marks = marker.mark(probes);
         const auto delays = summarize_delays(probes);
-        std::printf("trace        : %zu probes, %llu experiments (streamed)\n", probes.size(),
-                    static_cast<unsigned long long>(n_experiments));
-        std::printf("frequency    : %.5f  (online moment estimator, Sec 5.2.2)\n",
-                    res.frequency.value);
-        std::printf("duration     : %.4f s (basic)",
-                    res.duration_basic.valid ? res.duration_basic.seconds(slot) : 0.0);
-        if (res.duration_improved.valid) {
-            std::printf("  |  %.4f s (improved, r_hat %.3f)",
-                        res.duration_improved.seconds(slot),
-                        res.duration_improved.r_hat.value_or(0.0));
+
+        if (*stream) {
+            // The marker needs the full probe record (two-pass tau/alpha
+            // rule), but the design is scored record by record into the
+            // analyzer — no experiment or report vector is materialized.
+            StreamingAnalyzer::Result res;
+            {
+                // Scoped so the analyzer publishes its core.reports.*
+                // counters before finish_obs() writes the metrics file.
+                StreamingAnalyzer analyzer;
+                MarkScorer scorer{marks, analyzer};
+                for_each_design_record_file(*design_path, scorer);
+                res = analyzer.finalize();
+            }
+            std::printf("trace        : %zu probes, %llu experiments (streamed)\n",
+                        probes.size(), static_cast<unsigned long long>(res.reports));
+            std::printf("frequency    : %.5f  (online moment estimator, Sec 5.2.2)\n",
+                        res.frequency.value);
+            print_duration(res, slot);
+            std::printf("validation   : pair asymmetry %.3f, violations %.4f -> %s\n",
+                        res.validation.pair_asymmetry, res.validation.violation_fraction,
+                        res.validation.acceptable() ? "OK" : "SUSPECT");
+            print_delays(delays);
+            std::printf("note         : bootstrap/markov/stationarity need the full report "
+                        "sequence; run without --stream for those\n");
+            return finish_obs(*metrics_json, *trace_out);
         }
-        std::printf("\nvalidation   : pair asymmetry %.3f, violations %.4f -> %s\n",
-                    res.validation.pair_asymmetry, res.validation.violation_fraction,
-                    res.validation.acceptable() ? "OK" : "SUSPECT");
-        if (delays.valid()) {
-            std::printf("delays       : base %.4f s, queueing p95 %.4f s, loss-conditional "
-                        "%.4f s\n",
-                        delays.base_delay.to_seconds(), delays.p95_queueing_s,
-                        delays.loss_conditional_queueing_s);
+
+        const auto experiments = read_design_file(*design_path);
+        VectorSink<ExperimentResult> scored;
+        scored.reserve(experiments.size());
+        score_marks_into(experiments, marks, scored);
+        const std::vector<ExperimentResult> results = scored.take();
+
+        StreamingAnalyzer::Result est;
+        {
+            // Same analyzer as --stream, so both modes publish the same
+            // core.reports.* counters (scoped: see above).
+            StreamingAnalyzer analyzer;
+            for (const auto& r : results) analyzer.consume(r);
+            est = analyzer.finalize();
         }
-        std::printf("note         : bootstrap/markov/stationarity need the full report "
-                    "sequence; run without --stream for those\n");
-        return finish_obs(*metrics_json, *trace_out);
-    }
+        const auto markov = estimate_markov(tally_pairs(results));
+        const SlotIndex last_slot = experiments.empty()
+                                        ? 0
+                                        : experiments.back().start_slot + 3;
+        const auto stationarity = check_stationarity(experiments, results, last_slot);
 
-    const auto experiments = read_design_file(*design_path);
-    const auto results = score_experiments(experiments, is_congested);
+        std::printf("trace        : %zu probes, %zu experiments\n", probes.size(),
+                    experiments.size());
+        std::printf("frequency    : %.5f  (moment estimator, Sec 5.2.2)\n",
+                    est.frequency.value);
+        print_duration(est, slot);
+        std::printf("markov (param): frequency %.5f, duration %.4f s  (Sec 8 extension)\n",
+                    markov.valid ? markov.frequency : 0.0,
+                    markov.valid ? markov.duration_seconds(slot) : 0.0);
+        std::printf("validation   : pair asymmetry %.3f, violations %.4f -> %s\n",
+                    est.validation.pair_asymmetry, est.validation.violation_fraction,
+                    est.validation.acceptable() ? "OK" : "SUSPECT");
+        print_delays(delays);
+        std::printf("stationarity : first half F %.5f vs second half F %.5f -> %s\n",
+                    stationarity.first_half_frequency, stationarity.second_half_frequency,
+                    stationarity.looks_stationary ? "stationary" : "NON-STATIONARY");
 
-    StateCounts counts;
-    for (const auto& r : results) counts.add(r);
-
-    // The batch path never goes through StreamingAnalyzer, so publish the
-    // same metrics it would have (keeps both modes comparable in exports).
-    obs::counter("core.reports_scored").inc(results.size());
-    obs::counter("core.reports.b00").inc(counts.basic[0]);
-    obs::counter("core.reports.b01").inc(counts.basic[1]);
-    obs::counter("core.reports.b10").inc(counts.basic[2]);
-    obs::counter("core.reports.b11").inc(counts.basic[3]);
-    obs::counter("core.reports.extended").inc(counts.extended_total());
-    const auto freq = estimate_frequency(counts);
-    const auto dur = estimate_duration_basic(counts);
-    const auto dur_improved = estimate_duration_improved(counts);
-    const auto markov = estimate_markov(tally_pairs(results));
-    const auto validation = validate(counts);
-    const auto delays = summarize_delays(probes);
-    const SlotIndex last_slot = experiments.empty()
-                                    ? 0
-                                    : experiments.back().start_slot + 3;
-    const auto stationarity = check_stationarity(experiments, results, last_slot);
-
-    std::printf("trace        : %zu probes, %zu experiments\n", probes.size(),
-                experiments.size());
-    std::printf("frequency    : %.5f  (moment estimator, Sec 5.2.2)\n", freq.value);
-    std::printf("duration     : %.4f s (basic)", dur.valid ? dur.seconds(slot) : 0.0);
-    if (dur_improved.valid) {
-        std::printf("  |  %.4f s (improved, r_hat %.3f)", dur_improved.seconds(slot),
-                    dur_improved.r_hat.value_or(0.0));
-    }
-    std::printf("\nmarkov (param): frequency %.5f, duration %.4f s  (Sec 8 extension)\n",
-                markov.valid ? markov.frequency : 0.0,
-                markov.valid ? markov.duration_seconds(slot) : 0.0);
-    std::printf("validation   : pair asymmetry %.3f, violations %.4f -> %s\n",
-                validation.pair_asymmetry, validation.violation_fraction,
-                validation.acceptable() ? "OK" : "SUSPECT");
-    if (delays.valid()) {
-        std::printf("delays       : base %.4f s, queueing p95 %.4f s, loss-conditional "
-                    "%.4f s\n",
-                    delays.base_delay.to_seconds(), delays.p95_queueing_s,
-                    delays.loss_conditional_queueing_s);
-    }
-    std::printf("stationarity : first half F %.5f vs second half F %.5f -> %s\n",
-                stationarity.first_half_frequency, stationarity.second_half_frequency,
-                stationarity.looks_stationary ? "stationary" : "NON-STATIONARY");
-
-    if (*replicates > 0) {
-        BootstrapConfig bcfg;
-        bcfg.replicates = static_cast<std::size_t>(*replicates);
-        Rng rng{have_spec && !flags.is_set("seed") ? spec.seed
-                                                   : static_cast<std::uint64_t>(*seed)};
-        const auto ci = bootstrap_estimates(results, bcfg, rng);
-        if (ci.frequency.valid) {
-            std::printf("bootstrap    : frequency %.5f [%.5f, %.5f] (90%%)\n",
-                        ci.frequency.point, ci.frequency.lo, ci.frequency.hi);
+        if (*replicates > 0) {
+            BootstrapConfig bcfg;
+            bcfg.replicates = static_cast<std::size_t>(*replicates);
+            Rng rng{have_spec && !flags.is_set("seed") ? spec.seed
+                                                       : static_cast<std::uint64_t>(*seed)};
+            const auto ci = bootstrap_estimates(results, bcfg, rng);
+            if (ci.frequency.valid) {
+                std::printf("bootstrap    : frequency %.5f [%.5f, %.5f] (90%%)\n",
+                            ci.frequency.point, ci.frequency.lo, ci.frequency.hi);
+            }
+            if (ci.duration_slots.valid) {
+                std::printf("               duration %.4f s [%.4f, %.4f] (90%%)\n",
+                            ci.duration_slots.point * slot.to_seconds(),
+                            ci.duration_slots.lo * slot.to_seconds(),
+                            ci.duration_slots.hi * slot.to_seconds());
+            }
         }
-        if (ci.duration_slots.valid) {
-            std::printf("               duration %.4f s [%.4f, %.4f] (90%%)\n",
-                        ci.duration_slots.point * slot.to_seconds(),
-                        ci.duration_slots.lo * slot.to_seconds(),
-                        ci.duration_slots.hi * slot.to_seconds());
-        }
+    } catch (const std::exception& e) {
+        // Unreadable or malformed --trace/--design input (trace_io throws).
+        std::fprintf(stderr, "estimate_trace: %s\n", e.what());
+        return 1;
     }
     return finish_obs(*metrics_json, *trace_out);
 }

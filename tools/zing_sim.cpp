@@ -53,6 +53,19 @@ int main(int argc, char** argv) {
         "hash-trace-capacity", 4096, "trace-ring size for --hash-trace-out");
     if (!flags.parse(argc, argv)) return flags.error().empty() ? 0 : 1;
 
+    // Range checks before anything is built: --hz=0 would make the mean
+    // probe interval infinite (an out-of-range int64 conversion), and a zero
+    // rate is an uncaught exception in the queue constructor.
+    if (!(*hz >= 1e-6 && *hz <= 1e6)) {
+        std::fprintf(stderr, "zing_sim: --hz must be in [1e-06, 1e+06], got %g\n", *hz);
+        return 1;
+    }
+    if (*rate_mbps < 1 || *rate_mbps > 100'000) {
+        std::fprintf(stderr, "zing_sim: --rate-mbps must be in [1, 100000], got %lld\n",
+                     static_cast<long long>(*rate_mbps));
+        return 1;
+    }
+
     const bool want_hash = *state_hash || !hash_trace_out->empty();
     const auto trace_ring = static_cast<std::size_t>(
         hash_trace_out->empty() ? 0 : (*hash_trace_capacity < 1 ? 1 : *hash_trace_capacity));
