@@ -73,27 +73,33 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
   det_dir=$(mktemp -d)
   trap 'rm -rf "$det_dir"' EXIT
   # Table 4's CBR scenario (examples/table4.json base), shortened; digests must
-  # not depend on worker-thread count or the obs kill switch.
+  # not depend on worker-thread count or the obs kill switch.  The same
+  # scenario as a committed spec file (tests/data/det_cbr.json) must fold the
+  # same digest: flags are only a spec overlay (DESIGN.md §12).
   det_args=(--scenario cbr --p 0.3 --duration-s 20 --replicas 4 --state-hash)
+  det_spec=(--spec tests/data/det_cbr.json --state-hash)
   ref_digest=""
   for threads in 1 4 8; do
     for obs in off on; do
-      BB_OBS="$obs" ./build/tools/badabing_sim "${det_args[@]}" --threads "$threads" \
-        > "$det_dir/run.log"
-      digest=$(sed -n 's/^state-hash   : \([0-9a-f]\{16\}\).*/\1/p' "$det_dir/run.log")
-      [[ -n "$digest" ]] \
-        || { echo "ci: no state-hash line (threads=$threads BB_OBS=$obs)" >&2; exit 1; }
-      if [[ -z "$ref_digest" ]]; then
-        ref_digest="$digest"
-        echo "    reference digest $ref_digest (threads=1 BB_OBS=off)"
-      elif [[ "$digest" != "$ref_digest" ]]; then
-        echo "ci: digest diverged: $digest != $ref_digest (threads=$threads BB_OBS=$obs)" >&2
-        exit 1
-      fi
+      for form in flags spec; do
+        if [[ "$form" == flags ]]; then args=("${det_args[@]}"); else args=("${det_spec[@]}"); fi
+        BB_OBS="$obs" ./build/tools/badabing_sim "${args[@]}" --threads "$threads" \
+          > "$det_dir/run.log"
+        digest=$(sed -n 's/^state-hash   : \([0-9a-f]\{16\}\).*/\1/p' "$det_dir/run.log")
+        [[ -n "$digest" ]] \
+          || { echo "ci: no state-hash line ($form threads=$threads BB_OBS=$obs)" >&2; exit 1; }
+        if [[ -z "$ref_digest" ]]; then
+          ref_digest="$digest"
+          echo "    reference digest $ref_digest (flags threads=1 BB_OBS=off)"
+        elif [[ "$digest" != "$ref_digest" ]]; then
+          echo "ci: digest diverged: $digest != $ref_digest ($form threads=$threads BB_OBS=$obs)" >&2
+          exit 1
+        fi
+      done
     done
   done
   rm -rf "$det_dir"
-  echo "    digests identical across threads {1,4,8} x BB_OBS {off,on}"
+  echo "    digests identical across {flags, spec} x threads {1,4,8} x BB_OBS {off,on}"
 fi
 
 if [[ "${BB_SKIP_BENCH:-0}" != 1 ]]; then

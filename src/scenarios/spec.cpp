@@ -122,6 +122,14 @@ public:
                        std::string{"must be a non-negative number of "} + unit_name);
             return;
         }
+        // Beyond this the nanosecond count overflows int64.
+        const std::int64_t max_units = std::numeric_limits<std::int64_t>::max() / ns_per_unit;
+        if (j->number_is_int ? j->int_value > max_units
+                             : j->number_value > static_cast<double>(max_units)) {
+            ctx_->fail(j->line, key_path(key),
+                       "must be at most " + std::to_string(max_units) + " " + unit_name);
+            return;
+        }
         TimeNs t = j->number_is_int
                        ? nanoseconds(j->int_value * ns_per_unit)
                        : nanoseconds(static_cast<std::int64_t>(
@@ -423,16 +431,9 @@ void parse_analysis(Ctx& ctx, Section& top, ScenarioSpec& spec) {
             spec.marking_alpha = a->number_value;
         }
     }
-    if (const JsonValue* t = an.get("tau_ms"); t != nullptr && ctx.ok()) {
-        if (!t->is_number() || t->number_value <= 0.0) {
-            ctx.fail(t->line, "analysis.tau_ms", "must be > 0");
-        } else {
-            spec.marking_tau = t->number_is_int
-                                   ? milliseconds(t->int_value)
-                                   : nanoseconds(static_cast<std::int64_t>(
-                                         std::llround(t->number_value * 1e6)));
-        }
-    }
+    TimeNs tau = TimeNs::zero();
+    an.time_ms("tau_ms", tau, /*min_exclusive=*/true);
+    if (tau > TimeNs::zero()) spec.marking_tau = tau;
     an.boolean("frequency_from_extended", spec.estimator.frequency_from_extended);
     an.boolean("pairs_from_extended", spec.estimator.pairs_from_extended);
     an.finish();

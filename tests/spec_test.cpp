@@ -144,6 +144,16 @@ TEST(SpecErrors, ProbeAndTrafficRanges) {
     expect_error(R"({"traffic": {"cbr_background_load": 1.5}})", "cbr_background_load");
 }
 
+TEST(SpecErrors, DurationsThatOverflowNanosecondsAreRefused) {
+    expect_error(R"({"traffic": {"duration_s": 99999999999999}})",
+                 "traffic.duration_s: must be at most 9223372036 seconds");
+    expect_error(R"({"probe": {"zing": {"mean_interval_ms": 1e300}}})",
+                 "probe.zing.mean_interval_ms: must be at most");
+    expect_error(R"({"analysis": {"tau_ms": 1e300}})", "analysis.tau_ms: must be at most");
+    expect_error(R"({"analysis": {"tau_ms": 0}})", "analysis.tau_ms: must be > 0");
+    expect_error(R"({"analysis": {"tau_ms": -5}})", "analysis.tau_ms: must be a non-negative");
+}
+
 TEST(SpecErrors, TruthKnobConflict) {
     expect_error(R"({"truth": {"delay_based": true, "bounded_memory": true}})",
                  "incompatible with truth.delay_based");

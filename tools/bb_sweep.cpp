@@ -12,12 +12,8 @@
 #include <cstdio>
 #include <string>
 
-#include "obs/metrics.h"
-#include "obs/process_stats.h"
-#include "obs/trace.h"
-#include "core/run_hasher.h"
-#include "scenarios/spec.h"
 #include "scenarios/sweep.h"
+#include "tool_common.h"
 #include "util/flags.h"
 #include "util/json_io.h"
 
@@ -31,25 +27,6 @@ void print_cell_line(const scenarios::SweepCell& cell, const char* status) {
         std::printf(" %s=%s", path.c_str(), value.c_str());
     }
     std::printf("\n");
-}
-
-int finish_obs(const std::string& metrics_path, const std::string& trace_path) {
-    int rc = 0;
-    if (!trace_path.empty()) {
-        if (obs::Trace::write(trace_path)) {
-            std::printf("trace-out    : wrote %s\n", trace_path.c_str());
-        } else {
-            rc = 1;
-        }
-    }
-    if (!metrics_path.empty()) {
-        if (obs::write_metrics_file(metrics_path)) {
-            std::printf("metrics-json : wrote %s\n", metrics_path.c_str());
-        } else {
-            rc = 1;
-        }
-    }
-    return rc;
 }
 
 // A scalar from the cell result doc by dotted path, or fallback.
@@ -70,28 +47,14 @@ int main(int argc, char** argv) {
         "cache-dir", "", "reuse finished cells from DIR (hash-keyed JSON; \"\" = off)");
     const auto* threads = flags.add_int(
         "threads", 0, "replica worker threads per cell (0 = each cell's run.threads)");
-    const auto* metrics_json =
-        flags.add_string("metrics-json", "", "write obs metrics snapshot to FILE at exit");
-    const auto* trace_out = flags.add_string(
-        "trace-out", "", "write Chrome trace_event JSON (Perfetto-loadable) to FILE");
-    const auto* series_out = flags.add_string(
-        "series-out", "",
-        "record per-cell sim-time series (replica 0) into DIR as "
-        "<sweep>-<hash>.series.json (\"\" = off)");
-    const auto* series_interval_ms = flags.add_int(
-        "series-interval-ms", 100, "sim-time sampling cadence for --series-out");
     const auto* progress =
         flags.add_bool("progress", false, "print a progress line to stderr after every cell");
     const auto* progress_json_path = flags.add_string(
         "progress-json", "", "rewrite FILE with a one-object progress report after every cell");
-    const auto* state_hash = flags.add_bool(
-        "state-hash", false,
-        "hash every computed cell's run-state chain and print the merged digest");
-    const auto* hash_trace_out = flags.add_string(
-        "hash-trace-out", "",
-        "write the bb.hashtrace.v1 ring of the first computed cell (replica 0) to FILE");
-    const auto* hash_trace_capacity = flags.add_int(
-        "hash-trace-capacity", 4096, "trace-ring size for --hash-trace-out");
+    tools::ToolOutputs outputs{
+        flags, "bb_sweep", tools::ToolOutputs::Surface::all,
+        "record per-cell sim-time series (replica 0) into DIR as "
+        "<sweep>-<hash>.series.json (\"\" = off)"};
     if (!flags.parse(argc, argv)) return flags.error().empty() ? 0 : 1;
 
     const std::string& verb = flags.positionals()[0];
@@ -102,10 +65,8 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    if (!metrics_json->empty() || !trace_out->empty() || !series_out->empty()) {
-        obs::set_enabled(true);
-    }
-    if (!trace_out->empty()) obs::Trace::start();
+    // Cells hash inside the sweep runner's replica workers.
+    if (!outputs.start(/*hash_this_thread=*/false)) return 1;
 
     // A plain scenario spec (no "base" key) is accepted too: it is a sweep
     // with a single cell, so one schema drives both single runs and grids.
@@ -147,24 +108,17 @@ int main(int argc, char** argv) {
 
     if (verb == "expand") {
         for (const auto& cell : grid.cells) print_cell_line(cell, "-");
-        return finish_obs(*metrics_json, *trace_out);
+        return outputs.finish();
     }
 
     scenarios::SweepRunner::Config rc;
     rc.out_dir = *out_dir;
     rc.cache_dir = *cache_dir;
-    rc.state_hash = *state_hash || !hash_trace_out->empty();
-    if (!hash_trace_out->empty()) {
-        rc.hash_trace_capacity =
-            static_cast<std::size_t>(*hash_trace_capacity < 1 ? 1 : *hash_trace_capacity);
-    }
+    rc.state_hash = outputs.hashing();
+    rc.hash_trace_capacity = outputs.hash_trace_capacity();
     rc.threads = static_cast<std::size_t>(*threads < 0 ? 0 : *threads);
-    if (!series_out->empty()) {
-        rc.recording.enabled = true;
-        rc.recording.interval =
-            milliseconds(*series_interval_ms < 1 ? 1 : *series_interval_ms);
-        rc.series_dir = *series_out;
-    }
+    rc.recording = outputs.recording();
+    rc.series_dir = outputs.series_out();
     const bool progress_stderr = *progress;
     const std::string progress_path = *progress_json_path;
     if (progress_stderr || !progress_path.empty()) {
@@ -211,30 +165,16 @@ int main(int argc, char** argv) {
     if (rc.state_hash) {
         // Cached cells are not re-run and carry no digest; the merged value
         // covers computed cells only (in cell order).
-        std::printf("state-hash   : %s (%zu of %zu cells hashed)\n",
-                    core::RunHasher::hex(outcome.merged_state_hash).c_str(),
-                    outcome.hashed_cells, outcome.cells.size());
-    }
-    bool hash_trace_failed = false;
-    if (!hash_trace_out->empty()) {
-        if (outcome.hash_trace == nullptr) {
-            // Cached cells are not re-run, so an all-cached sweep has no
-            // trace; that is expected, not an error.
+        outputs.report_hash(outcome.merged_state_hash,
+                            std::to_string(outcome.hashed_cells) + " of " +
+                                std::to_string(outcome.cells.size()) + " cells hashed",
+                            outcome.hash_trace.get());
+        if (outcome.hash_trace == nullptr && rc.hash_trace_capacity > 0) {
+            // An all-cached sweep has no trace; that is expected, not an error.
             std::fprintf(stderr, "bb_sweep: note: no hash trace to write (every cell was "
                                  "cached)\n");
-        } else if (write_text_file(*hash_trace_out, outcome.hash_trace->trace_json())) {
-            std::printf("hash-trace   : wrote %s\n", hash_trace_out->c_str());
-        } else {
-            std::fprintf(stderr, "bb_sweep: cannot write hash trace to %s\n",
-                         hash_trace_out->c_str());
-            hash_trace_failed = true;
         }
     }
     std::printf("results: %s/\n", out_dir->c_str());
-
-    const obs::ProcessStats ps = obs::process_stats();
-    std::printf("process      : max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
-                static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);
-    const int obs_rc = finish_obs(*metrics_json, *trace_out);
-    return hash_trace_failed ? 1 : obs_rc;
+    return outputs.finish();
 }

@@ -18,36 +18,11 @@
 #include "core/trace_io.h"
 #include "core/validation.h"
 #include "core/windowed.h"
-#include "obs/metrics.h"
-#include "obs/process_stats.h"
-#include "obs/trace.h"
 #include "scenarios/spec.h"
+#include "tool_common.h"
 #include "util/flags.h"
 
 namespace {
-
-// Shared exit path: flush the obs export files and report process stats.
-int finish_obs(const std::string& metrics_path, const std::string& trace_path) {
-    int rc = 0;
-    if (!trace_path.empty()) {
-        if (bb::obs::Trace::write(trace_path)) {
-            std::printf("trace-out    : wrote %s\n", trace_path.c_str());
-        } else {
-            rc = 1;
-        }
-    }
-    if (!metrics_path.empty()) {
-        if (bb::obs::write_metrics_file(metrics_path)) {
-            std::printf("metrics-json : wrote %s\n", metrics_path.c_str());
-        } else {
-            rc = 1;
-        }
-    }
-    const bb::obs::ProcessStats ps = bb::obs::process_stats();
-    std::printf("process      : max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
-                static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);
-    return rc;
-}
 
 void print_duration(const bb::core::Estimates& est, bb::TimeNs slot) {
     std::printf("duration     : %.4f s (basic)",
@@ -87,43 +62,30 @@ int main(int argc, char** argv) {
         "stream", false,
         "stream the design through the online estimators (no report vector; "
         "skips bootstrap/markov/stationarity)");
-    const auto* metrics_json =
-        flags.add_string("metrics-json", "", "write obs metrics snapshot to FILE at exit");
-    const auto* trace_out = flags.add_string(
-        "trace-out", "", "write Chrome trace_event JSON (Perfetto-loadable) to FILE");
+    tools::ToolOutputs outputs{flags, "estimate_trace",
+                               tools::ToolOutputs::Surface::metrics_and_trace};
     if (!flags.parse(argc, argv)) return flags.error().empty() ? 0 : 1;
-    // Explicit export flags beat the ambient BB_OBS kill switch.
-    if (!metrics_json->empty() || !trace_out->empty()) obs::set_enabled(true);
-    if (!trace_out->empty()) obs::Trace::start();
+    if (!outputs.start(/*hash_this_thread=*/false)) return 1;
     if (trace_path->empty() || design_path->empty()) {
         std::fprintf(stderr, "estimate_trace: --trace and --design are required\n");
         return 1;
     }
 
     // --spec carries the sender's slot width and the marking rule so analysis
-    // of a recorded trace uses the same configuration that produced it.
-    scenarios::ScenarioSpec spec;
-    bool have_spec = false;
-    if (!spec_path->empty()) {
-        auto sr = scenarios::load_scenario_spec_file(*spec_path);
-        if (!sr.ok) {
-            std::fprintf(stderr, "%s\n", sr.error.c_str());
-            return 1;
-        }
-        spec = std::move(sr.spec);
-        have_spec = true;
-    }
+    // of a recorded trace uses the same configuration that produced it; the
+    // flags splice over it like the simulators' (DESIGN.md §12).
+    tools::SpecOverlay overlay{"estimate_trace", flags, *spec_path};
+    overlay.add("slot-ms", "probe.badabing.slot_ms", JsonValue::of_int(*slot_ms));
+    overlay.add("alpha", "analysis.alpha", JsonValue::of_number(*alpha));
+    overlay.add("tau-ms", "analysis.tau_ms", JsonValue::of_int(*tau_ms));
+    overlay.add("seed", "run.seed", JsonValue::of_int(*seed));
+    const auto spec = overlay.resolve(/*prober=*/nullptr);
+    if (!spec) return 1;
 
     try {
         const auto probes = read_trace_file(*trace_path);
-        const TimeNs slot = have_spec && !flags.is_set("slot-ms") ? spec.badabing.slot_width
-                                                                  : milliseconds(*slot_ms);
-
-        MarkingConfig marking;
-        if (have_spec) marking = scenarios::marking_for(spec);
-        if (!have_spec || flags.is_set("alpha")) marking.alpha = *alpha;
-        if (!have_spec || flags.is_set("tau-ms")) marking.tau = milliseconds(*tau_ms);
-        CongestionMarker marker{marking};
+        const TimeNs slot = spec->badabing.slot_width;
+        CongestionMarker marker{scenarios::marking_for(*spec)};
         const auto marks = marker.mark(probes);
         const auto delays = summarize_delays(probes);
 
@@ -134,7 +96,7 @@ int main(int argc, char** argv) {
             StreamingAnalyzer::Result res;
             {
                 // Scoped so the analyzer publishes its core.reports.*
-                // counters before finish_obs() writes the metrics file.
+                // counters before outputs.finish() writes the metrics file.
                 StreamingAnalyzer analyzer;
                 MarkScorer scorer{marks, analyzer};
                 for_each_design_record_file(*design_path, scorer);
@@ -151,7 +113,7 @@ int main(int argc, char** argv) {
             print_delays(delays);
             std::printf("note         : bootstrap/markov/stationarity need the full report "
                         "sequence; run without --stream for those\n");
-            return finish_obs(*metrics_json, *trace_out);
+            return outputs.finish();
         }
 
         const auto experiments = read_design_file(*design_path);
@@ -193,8 +155,7 @@ int main(int argc, char** argv) {
         if (*replicates > 0) {
             BootstrapConfig bcfg;
             bcfg.replicates = static_cast<std::size_t>(*replicates);
-            Rng rng{have_spec && !flags.is_set("seed") ? spec.seed
-                                                       : static_cast<std::uint64_t>(*seed)};
+            Rng rng{spec->seed};
             const auto ci = bootstrap_estimates(results, bcfg, rng);
             if (ci.frequency.valid) {
                 std::printf("bootstrap    : frequency %.5f [%.5f, %.5f] (90%%)\n",
@@ -212,5 +173,5 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "estimate_trace: %s\n", e.what());
         return 1;
     }
-    return finish_obs(*metrics_json, *trace_out);
+    return outputs.finish();
 }
