@@ -6,12 +6,11 @@
 // and duration estimates pick up bias.  A passive Q-bit observer rides every
 // cell as the router-centric comparison estimator.
 //
-// The cell matrix is no longer hand-nested loops: it is a sweep-DSL document
-// (the same spec, modulo env substitution, lives in
-// examples/ablation_aqm_sweep.json for bb_sweep) expanded by the sweep
-// engine and executed per cell through the ReplicaRunner.
+// The cell matrix is the sweep spec examples/ablation_aqm_sweep.json — the
+// same file `bb_sweep run` takes — expanded by the sweep engine and executed
+// per cell through the ReplicaRunner.
 //
-// BB_BENCH_ABLATION_DURATION_S overrides the per-cell duration (default 120,
+// BB_BENCH_ABLATION_DURATION_S overrides the spec's per-cell duration (120 s,
 // enough for stable cell shapes; the tables use the full 900 s runs).
 // BB_BENCH_JSON=<dir> additionally writes BENCH_ablation_aqm.json there.
 #include <cmath>
@@ -29,43 +28,6 @@ namespace {
 
 using namespace bb::bench;
 namespace scen = bb::scenarios;
-
-bb::TimeNs ablation_duration() {
-    const char* v = std::getenv("BB_BENCH_ABLATION_DURATION_S");
-    if (v != nullptr && *v != '\0') return bb::seconds_i(std::atoll(v));
-    return bb::seconds_i(120);
-}
-
-// The ablation matrix as a sweep spec.  Axis order matches the historical
-// loop nesting (discipline outermost, GE innermost) so cell order is stable.
-std::string ablation_sweep_text() {
-    char buf[1280];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\n"
-        "  \"name\": \"ablation_aqm\",\n"
-        "  \"base\": {\n"
-        "    \"link\": {\"rate_mbps\": %lld, \"qbit_block\": 100,\n"
-        "             \"ge\": {\"p_bad_loss\": 0.3, \"mean_good_s\": 5, "
-        "\"mean_bad_ms\": 100}},\n"
-        "    \"traffic\": {\"kind\": \"cbr_uniform\", \"duration_s\": %lld,\n"
-        "                \"episode_ms\": 68, \"mean_episode_gap_s\": 10, "
-        "\"tcp_flows\": %d},\n"
-        "    \"probe\": {\"badabing\": {\"p\": 0.3}},\n"
-        "    \"run\": {\"replicas\": 1, \"seed\": %llu}\n"
-        "  },\n"
-        "  \"axes\": {\n"
-        "    \"link.discipline\": [\"drop_tail\", \"red\", \"pie\", \"codel\"],\n"
-        "    \"traffic.kind\": [\"cbr_uniform\", \"infinite_tcp\"],\n"
-        "    \"link.ge.enabled\": [false, true]\n"
-        "  }\n"
-        "}\n",
-        static_cast<long long>(bench_testbed().bottleneck_rate_bps / 1'000'000),
-        static_cast<long long>(ablation_duration().to_seconds()),
-        infinite_tcp_workload().tcp_flows,
-        static_cast<unsigned long long>(bench_seed()));
-    return buf;
-}
 
 struct CellOut {
     std::string discipline;
@@ -99,9 +61,7 @@ const char* discipline_name(scen::QueueDiscipline d) {
 }
 
 CellOut run_cell(const scen::SweepCell& cell) {
-    const scen::ReplicaPlan plan = scen::replica_plan_from(cell.spec);
-    const scen::ReplicaRunner runner{scen::runner_config_from(cell.spec)};
-    const auto rows = runner.run(plan);
+    const auto rows = scen::ReplicaRunner{cell.spec}.run();
     const auto& r = rows.front();
 
     CellOut out;
@@ -113,7 +73,7 @@ CellOut run_cell(const scen::SweepCell& cell) {
     out.est_frequency = r.est_frequency();
     out.freq_rel_error = rel_error(out.est_frequency, out.truth_frequency);
     out.truth_duration_s = r.truth.mean_duration_s;
-    out.est_duration_s = r.est_duration_s(plan.probe.slot_width);
+    out.est_duration_s = r.est_duration_s(cell.spec.badabing.slot_width);
     out.dur_rel_error = rel_error(out.est_duration_s, out.truth_duration_s);
     out.episodes = r.episodes;
     out.path_loss_rate = r.path_loss_rate;
@@ -122,7 +82,7 @@ CellOut run_cell(const scen::SweepCell& cell) {
     return out;
 }
 
-void maybe_write_json(const std::vector<CellOut>& cells) {
+void maybe_write_json(const std::vector<CellOut>& cells, double duration_s) {
     const char* dir = std::getenv("BB_BENCH_JSON");
     if (dir == nullptr) return;
     std::string path{dir};
@@ -132,7 +92,7 @@ void maybe_write_json(const std::vector<CellOut>& cells) {
     bb::JsonWriter w{bb::JsonWriter::Options{2, true}};
     w.begin_object();
     w.key("bench").value("ablation_aqm");
-    w.key("duration_s").value_double(ablation_duration().to_seconds(), "%.0f");
+    w.key("duration_s").value_double(duration_s, "%.0f");
     w.key("probe_p").value_double(0.3, "%.1f");
     w.key("cells").begin_array();
     for (const auto& c : cells) {
@@ -162,24 +122,32 @@ void maybe_write_json(const std::vector<CellOut>& cells) {
 }  // namespace
 
 int main() {
-    print_header("Ablation: AQM discipline x traffic mix x Gilbert-Elliott loss",
-                 "extension of Sommers et al., SIGCOMM 2005, Section 7 discussion");
-    std::printf("per-cell duration: %.0f s (BB_BENCH_ABLATION_DURATION_S overrides)\n",
-                ablation_duration().to_seconds());
-
-    const std::string spec_text = ablation_sweep_text();
-    const auto sweep = scen::load_sweep_spec_text(spec_text, "<ablation sweep>");
+    const std::string path = std::string{BB_EXAMPLES_DIR} + "/ablation_aqm_sweep.json";
+    auto sweep = scen::load_sweep_spec_file(path);
     if (!sweep.ok) {
         std::fprintf(stderr, "ablation sweep rejected: %s\n", sweep.error.c_str());
         return 1;
     }
-    const auto expanded = scen::expand_sweep(sweep.sweep, "<ablation sweep>");
+    if (const char* v = std::getenv("BB_BENCH_ABLATION_DURATION_S"); v != nullptr && *v != '\0') {
+        std::string err;
+        if (!bb::json_set_path(sweep.sweep.base, "traffic.duration_s",
+                               bb::JsonValue::of_int(std::atoll(v)), err)) {
+            std::fprintf(stderr, "ablation sweep: traffic.duration_s: %s\n", err.c_str());
+            return 1;
+        }
+    }
+    const auto expanded = scen::expand_sweep(sweep.sweep, path);
     if (!expanded.ok) {
         std::fprintf(stderr, "ablation sweep expansion failed: %s\n",
                      expanded.error.c_str());
         return 1;
     }
+    const double duration_s = expanded.cells.front().spec.workload.duration.to_seconds();
 
+    print_header("Ablation: AQM discipline x traffic mix x Gilbert-Elliott loss",
+                 "extension of Sommers et al., SIGCOMM 2005, Section 7 discussion");
+    std::printf("per-cell duration: %.0f s (BB_BENCH_ABLATION_DURATION_S overrides)\n",
+                duration_s);
     std::printf("cells: %zu (from sweep spec \"%s\")\n", expanded.cells.size(),
                 sweep.sweep.name.c_str());
     std::printf("%-10s %-4s %-3s | %-19s | %-19s | %-17s | %s\n", "queue", "mix", "ge",
@@ -208,6 +176,6 @@ int main() {
                 "through the monitor's external-drop feed.  The passive Q-bit column\n"
                 "tracks the router-centric PACKET loss rate, not episode frequency —\n"
                 "the contrast the paper draws in Section 2.\n");
-    maybe_write_json(cells);
+    maybe_write_json(cells, duration_s);
     return 0;
 }

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "scenarios/experiment.h"
-#include "scenarios/replica_runner.h"
 #include "scenarios/spec.h"
 
 namespace bb::bench {
@@ -15,10 +14,8 @@ namespace bb::bench {
 [[nodiscard]] TimeNs bench_duration();
 [[nodiscard]] std::uint64_t bench_seed();
 
-// Monte Carlo controls for the table benches: BB_BENCH_REPLICAS independent
-// replicas per row (default 3), run across BB_BENCH_THREADS workers
-// (default 0 = all hardware threads).
-[[nodiscard]] std::size_t bench_replicas();
+// Worker threads for benches that fan work out across a pool:
+// BB_BENCH_THREADS (default 0 = all hardware threads).
 [[nodiscard]] std::size_t bench_threads();
 
 // The testbed scaled from the paper's OC3: defaults to 30 Mb/s with the same
@@ -34,7 +31,6 @@ namespace bb::bench {
 // keep the per-flow share of the bottleneck comparable to 40 flows on OC3).
 [[nodiscard]] scenarios::WorkloadConfig infinite_tcp_workload();
 [[nodiscard]] scenarios::WorkloadConfig cbr_uniform_workload();
-[[nodiscard]] scenarios::WorkloadConfig cbr_multi_workload();
 [[nodiscard]] scenarios::WorkloadConfig web_workload();
 
 [[nodiscard]] scenarios::TruthConfig truth_for(const scenarios::WorkloadConfig& wl);
@@ -52,31 +48,6 @@ struct BadabingRow {
 };
 [[nodiscard]] BadabingRow run_badabing_row(const scenarios::WorkloadConfig& wl, double p,
                                            bool improved = false);
-void print_badabing_table(const std::string& title, const std::string& paper_ref,
-                          const std::vector<BadabingRow>& rows, TimeNs slot_width);
-
-// Multi-replica version of a table row: n_replicas independent runs of the
-// same scenario (seeds derived positionally from bench_seed()), executed
-// across bench_threads() workers, plus the collapsed aggregate.  Aggregates
-// are bit-identical for any thread count.
-struct MultiRow {
-    double p{0.0};
-    std::vector<scenarios::ReplicaResult> replicas;
-    scenarios::AggregateRow aggregate;
-};
-[[nodiscard]] MultiRow run_badabing_rows(const scenarios::WorkloadConfig& wl, double p,
-                                         std::size_t n_replicas, bool improved = false);
-
-// Table with mean +/- 95% bootstrap CI columns across replicas.
-void print_badabing_ci_table(const std::string& title, const std::string& paper_ref,
-                             const std::vector<MultiRow>& rows, TimeNs slot_width);
-
-// When BB_BENCH_JSON is set, write the rows (aggregates + per-replica
-// trajectories) as BENCH_<bench_name>.json into the directory it names
-// ("1" or empty value = current directory).  Returns the path written, or
-// empty if JSON emission is off.
-std::string maybe_write_bench_json(const std::string& bench_name,
-                                   const std::vector<MultiRow>& rows, TimeNs slot_width);
 
 }  // namespace bb::bench
 

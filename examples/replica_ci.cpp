@@ -12,37 +12,38 @@
 #include <cstdio>
 
 #include "scenarios/replica_runner.h"
+#include "scenarios/spec.h"
 
 int main() {
     using namespace bb;
 
-    // The quickstart path: 30 Mb/s drop-tail dumbbell, CBR cross traffic
-    // with engineered 68 ms loss episodes, BADABING at p = 0.3.
-    scenarios::ReplicaPlan plan;
-    plan.testbed.bottleneck_rate_bps = 30'000'000;
-    plan.workload.kind = scenarios::TrafficKind::cbr_uniform;
-    plan.workload.duration = seconds_i(300);
-    plan.workload.episode_duration = milliseconds(68);
-    plan.workload.mean_episode_gap = seconds_i(10);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;  // sized to the workload automatically
+    // The quickstart path as a scenario spec: 30 Mb/s drop-tail dumbbell,
+    // CBR cross traffic with engineered 68 ms loss episodes, BADABING at
+    // p = 0.3, 8 replicas on all hardware threads.
+    const auto parsed = scenarios::load_scenario_spec_text(R"({
+      "link": {"rate_mbps": 30},
+      "traffic": {"kind": "cbr_uniform", "duration_s": 300,
+                  "episode_ms": 68, "mean_episode_gap_s": 10},
+      "probe": {"badabing": {"p": 0.3}},
+      "run": {"replicas": 8, "threads": 0, "seed": 42}
+    })", "replica_ci");
+    if (!parsed.ok) {
+        std::fprintf(stderr, "%s\n", parsed.error.c_str());
+        return 1;
+    }
+    const scenarios::ScenarioSpec& spec = parsed.spec;
 
-    scenarios::ReplicaRunner::Config cfg;
-    cfg.replicas = 8;
-    cfg.threads = 0;  // all hardware threads
-    cfg.master_seed = 42;
-
-    const scenarios::ReplicaRunner runner{cfg};
+    const scenarios::ReplicaRunner runner{spec};
     std::printf("running %zu replicas of a 300 s CBR scenario (p = %.1f)...\n\n",
-                cfg.replicas, plan.probe.p);
-    const auto results = runner.run(plan);
-    const auto agg = runner.aggregate(plan, results);
+                spec.replicas, spec.badabing.p);
+    const auto results = runner.run();
+    const auto agg = runner.aggregate(results);
 
     std::printf("%-8s | %-10s | %-10s | %-10s\n", "replica", "true freq", "est freq",
                 "est dur(s)");
     for (const auto& r : results) {
         std::printf("%-8zu | %-10.4f | %-10.4f | %-10.3f\n", r.index, r.truth.frequency,
-                    r.est_frequency(), r.est_duration_s(plan.probe.slot_width));
+                    r.est_frequency(), r.est_duration_s(spec.badabing.slot_width));
     }
 
     std::printf("\naggregate over %zu replicas (mean +/- 95%% bootstrap CI):\n",

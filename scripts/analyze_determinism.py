@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Determinism analyzer: static rules over the result-affecting layers.
 
-Everything under src/core, src/sim, src/measure, src/probes and src/scenarios
-feeds the numbers that reach result files and the run-state hash chain
-(DESIGN.md §14).  These rules ban the constructs that make such code depend on
-process layout, wall time, or library hash ordering — the classic sources of
-"same seed, different answer":
+Everything under src/core, src/sim, src/tcp, src/traffic, src/measure,
+src/probes and src/scenarios feeds the numbers that reach result files and the
+run-state hash chain (DESIGN.md §14).  These rules ban the constructs that make
+such code depend on process layout, wall time, or library hash ordering — the
+classic sources of "same seed, different answer":
 
   no-unordered-container   std::unordered_{map,set,multimap,multiset} iterate
                            in hash/bucket order, which varies across libstdc++
@@ -55,7 +55,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The layers whose computation reaches result files / the hash chain.  util,
 # obs and the tools/bench layers are deliberately out of scope: wall timing
 # and process-global telemetry are legal there.
-DEFAULT_SCAN = ["src/core", "src/sim", "src/measure", "src/probes", "src/scenarios"]
+DEFAULT_SCAN = ["src/core", "src/sim", "src/tcp", "src/traffic", "src/measure",
+                "src/probes", "src/scenarios"]
 CXX_EXTENSIONS = (".cpp", ".h")
 
 
@@ -300,6 +301,13 @@ SELF_TEST_TABLE = [
      "[[nodiscard]] static bool earlier(const Ticket& a, const Ticket& b) noexcept {", False),
     ("no-mutable-static", "src/core/x.cpp", "auto v = static_cast<int>(x);", False),
     ("no-mutable-static", "src/core/x.cpp", "static_assert(sizeof(int) == 4);", False),
+    ("no-mutable-static", "src/tcp/x.cpp", "static std::uint64_t next_id = 0;", True),
+    ("no-mutable-static", "src/tcp/x.cpp",
+     "void on_ack() {\n    static int dup_acks = 0;\n    ++dup_acks;\n}", True),  # function-local
+    ("no-mutable-static", "src/traffic/x.cpp", "thread_local Rng jitter{1};", True),
+    ("no-mutable-static", "src/tcp/x.cpp", "static constexpr int kInitialCwnd = 2;", False),
+    ("no-unordered-container", "src/traffic/x.h", "std::unordered_map<FlowId, int> m;", True),
+    ("no-time-seed", "src/tcp/x.cpp", "auto t0 = std::chrono::steady_clock::now();", True),
     ("no-mutable-static", "src/obs/x.cpp", "static int registry_epoch = 0;", False),  # out of scope
     ("no-mutable-static", "src/sim/x.cpp",
      "static int cached = 0;  // bb-det: allow(no-mutable-static)", False),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/contract.h"
@@ -14,7 +15,8 @@ namespace bb::scenarios {
 
 namespace {
 
-ReplicaResult run_one(const ReplicaPlan& plan, std::size_t index, std::uint64_t seed) {
+ReplicaResult run_one(const ScenarioSpec& base, const ReplicaObservers& observers,
+                      std::size_t index, std::uint64_t seed) {
     const obs::Span span{"replica", "scenarios", "replica",
                          static_cast<std::int64_t>(index)};
     // The hash scope covers the replica's whole life — world construction,
@@ -23,26 +25,26 @@ ReplicaResult run_one(const ReplicaPlan& plan, std::size_t index, std::uint64_t 
     // the digest by construction.
     std::shared_ptr<core::RunHasher> hasher;
     std::optional<core::HashScope> hash_scope;
-    if (plan.hashing) {
+    if (observers.hashing) {
         hasher = std::make_shared<core::RunHasher>(
-            index == 0 ? plan.hash_trace_capacity : 0);
+            index == 0 ? observers.hash_trace_capacity : 0);
         hash_scope.emplace(*hasher);
     }
-    TestbedConfig tb = plan.testbed;
+    ScenarioSpec spec = base;
     // RED's randomized drops get their own stream so queue and workload
     // randomness stay decoupled within a replica.
-    tb.seed = seed ^ 0x5EEDULL;
-    WorkloadConfig wl = plan.workload;
-    wl.seed = seed;
+    spec.testbed.seed = seed ^ 0x5EEDULL;
+    spec.workload.seed = seed;
 
-    Experiment exp{tb, wl, plan.truth};
-    auto& tool = exp.add_badabing(plan.probe);
+    const BuiltExperiment built = build_experiment(spec);
+    Experiment& exp = *built.experiment;
+    const probes::BadabingTool& tool = *built.badabing;
     // Replica 0 carries the sim-time series when recording is requested; the
     // recorder only reads simulation state, so every estimate below is
     // bit-identical with recording on or off.
     std::unique_ptr<ExperimentRecorder> recording;
-    if (plan.recording.enabled && index == 0) {
-        recording = std::make_unique<ExperimentRecorder>(exp, plan.recording);
+    if (observers.recording.enabled && index == 0) {
+        recording = std::make_unique<ExperimentRecorder>(exp, observers.recording);
     }
     exp.run();
     if (recording) recording->finish();
@@ -51,10 +53,8 @@ ReplicaResult run_one(const ReplicaPlan& plan, std::size_t index, std::uint64_t 
     r.index = index;
     r.seed = seed;
     r.truth = exp.truth();
-    const core::MarkingConfig marking =
-        plan.marking ? *plan.marking : exp.default_marking(plan.probe.p);
-    r.result = tool.analyze(marking, plan.estimator);
-    r.offered_load = tool.offered_load_fraction(tb.bottleneck_rate_bps);
+    r.result = tool.analyze(marking_for(spec), spec.estimator);
+    r.offered_load = tool.offered_load_fraction(spec.testbed.bottleneck_rate_bps);
     r.queue_drops = exp.testbed().bottleneck().drops();
     for (const auto& hop : exp.testbed().upstream_hops()) r.queue_drops += hop->drops();
     r.episodes = r.truth.episodes;
@@ -72,19 +72,19 @@ ReplicaResult run_one(const ReplicaPlan& plan, std::size_t index, std::uint64_t 
     if (hasher) {
         r.state_hash = hasher->digest();
         r.hash_records = hasher->records();
-        if (index == 0 && plan.hash_trace_capacity > 0) r.hash_trace = hasher;
+        if (index == 0 && observers.hash_trace_capacity > 0) r.hash_trace = hasher;
     }
     return r;
 }
 
-AggregateStat collapse(const std::vector<double>& values, const ReplicaRunner::Config& cfg,
-                       Rng& rng) {
+AggregateStat collapse(const std::vector<double>& values, Rng& rng) {
     AggregateStat s;
     RunningStats stats;
     for (double v : values) stats.add(v);
     s.mean = stats.mean();
     s.stddev = stats.stddev();
-    s.ci = core::bootstrap_mean(values, cfg.bootstrap_replicates, cfg.confidence, rng);
+    s.ci = core::bootstrap_mean(values, ReplicaRunner::kBootstrapReplicates,
+                                ReplicaRunner::kConfidence, rng);
     return s;
 }
 
@@ -99,6 +99,11 @@ void write_stat(JsonWriter& w, const char* name, const AggregateStat& s) {
 
 }  // namespace
 
+ReplicaRunner::ReplicaRunner(ScenarioSpec spec) : spec_{std::move(spec)} {
+    BB_CHECK_MSG(spec_.tool == ScenarioSpec::ProbeTool::badabing,
+                 "replica runner: the replica harness estimates with BADABING");
+}
+
 std::vector<std::uint64_t> ReplicaRunner::replica_seeds(std::uint64_t master_seed,
                                                         std::size_t n) {
     Rng master{master_seed};
@@ -108,24 +113,25 @@ std::vector<std::uint64_t> ReplicaRunner::replica_seeds(std::uint64_t master_see
     return seeds;
 }
 
-std::vector<ReplicaResult> ReplicaRunner::run(const ReplicaPlan& plan) const {
-    const auto seeds = replica_seeds(cfg_.master_seed, cfg_.replicas);
-    std::vector<ReplicaResult> results(cfg_.replicas);
-    if (cfg_.replicas == 0) return results;
+std::vector<ReplicaResult> ReplicaRunner::run(const ReplicaObservers& observers) const {
+    const std::size_t n = spec_.replicas;
+    const auto seeds = replica_seeds(spec_.seed, n);
+    std::vector<ReplicaResult> results(n);
+    if (n == 0) return results;
 
     // Never spin up more workers than replicas.
-    const std::size_t want = cfg_.threads == 0 ? ThreadPool::default_threads() : cfg_.threads;
-    const std::size_t threads = std::min(want, cfg_.replicas);
+    const std::size_t want = spec_.threads == 0 ? ThreadPool::default_threads() : spec_.threads;
+    const std::size_t threads = std::min(want, n);
     if (threads <= 1) {
-        for (std::size_t i = 0; i < cfg_.replicas; ++i) {
-            results[i] = run_one(plan, i, seeds[i]);
+        for (std::size_t i = 0; i < n; ++i) {
+            results[i] = run_one(spec_, observers, i, seeds[i]);
         }
         return results;
     }
 
     ThreadPool pool{threads};
-    pool.for_each_index(cfg_.replicas, [&plan, &seeds, &results](std::size_t i) {
-        results[i] = run_one(plan, i, seeds[i]);
+    pool.for_each_index(n, [this, &observers, &seeds, &results](std::size_t i) {
+        results[i] = run_one(spec_, observers, i, seeds[i]);
     });
     // Bit-identical aggregates at any thread count rest on every worker
     // having written its own slot with its own positional seed.
@@ -143,11 +149,10 @@ std::uint64_t ReplicaRunner::merged_state_hash(const std::vector<ReplicaResult>&
     return core::RunHasher::merge(digests);
 }
 
-AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
-                                      const std::vector<ReplicaResult>& results) const {
+AggregateRow ReplicaRunner::aggregate(const std::vector<ReplicaResult>& results) const {
     const obs::Span span{"aggregate", "scenarios"};
     AggregateRow row;
-    row.p = plan.probe.p;
+    row.p = spec_.badabing.p;
     row.replicas = results.size();
 
     std::vector<double> true_f, est_f, true_d, est_d, load;
@@ -160,62 +165,57 @@ AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
         true_f.push_back(r.truth.frequency);
         est_f.push_back(r.est_frequency());
         true_d.push_back(r.truth.mean_duration_s);
-        est_d.push_back(r.est_duration_s(plan.probe.slot_width));
+        est_d.push_back(r.est_duration_s(spec_.badabing.slot_width));
         load.push_back(r.offered_load);
     }
 
     // One serial bootstrap stream per aggregation keeps the row a pure
     // function of (results order, master_seed) — thread count cannot leak in.
-    Rng rng{cfg_.master_seed ^ 0xB007B007ULL};
-    row.true_frequency = collapse(true_f, cfg_, rng);
-    row.est_frequency = collapse(est_f, cfg_, rng);
-    row.true_duration_s = collapse(true_d, cfg_, rng);
-    row.est_duration_s = collapse(est_d, cfg_, rng);
-    row.offered_load = collapse(load, cfg_, rng);
+    Rng rng{spec_.seed ^ 0xB007B007ULL};
+    row.true_frequency = collapse(true_f, rng);
+    row.est_frequency = collapse(est_f, rng);
+    row.true_duration_s = collapse(true_d, rng);
+    row.est_duration_s = collapse(est_d, rng);
+    row.offered_load = collapse(load, rng);
     return row;
 }
 
-std::string aggregate_rows_json(const std::string& label, TimeNs slot_width,
-                                const std::vector<AggregateRow>& rows,
-                                const std::vector<std::vector<ReplicaResult>>& replicas) {
+std::string aggregate_json(const std::string& label, TimeNs slot_width,
+                           const AggregateRow& row,
+                           const std::vector<ReplicaResult>& replicas) {
     JsonWriter w;  // compact house style: downstream plotters parse this byte format
     w.begin_object();
     w.key("label").value(label);
     w.key("rows").begin_array();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto& row = rows[i];
+    w.begin_object();
+    w.key("p").value_double(row.p);
+    w.key("replicas").value_uint(row.replicas);
+    write_stat(w, "true_frequency", row.true_frequency);
+    write_stat(w, "est_frequency", row.est_frequency);
+    write_stat(w, "true_duration_s", row.true_duration_s);
+    write_stat(w, "est_duration_s", row.est_duration_s);
+    write_stat(w, "offered_load", row.offered_load);
+    std::uint64_t total_drops = 0;
+    std::uint64_t total_experiments = 0;
+    w.key("trajectory").begin_array();
+    for (const auto& r : replicas) {
         w.begin_object();
-        w.key("p").value_double(row.p);
-        w.key("replicas").value_uint(row.replicas);
-        write_stat(w, "true_frequency", row.true_frequency);
-        write_stat(w, "est_frequency", row.est_frequency);
-        write_stat(w, "true_duration_s", row.true_duration_s);
-        write_stat(w, "est_duration_s", row.est_duration_s);
-        write_stat(w, "offered_load", row.offered_load);
-        std::uint64_t total_drops = 0;
-        std::uint64_t total_experiments = 0;
-        w.key("trajectory").begin_array();
-        if (i < replicas.size()) {
-            for (const auto& r : replicas[i]) {
-                w.begin_object();
-                w.key("replica").value_uint(r.index);
-                w.key("seed").value_uint(r.seed);
-                w.key("true_frequency").value_double(r.truth.frequency);
-                w.key("est_frequency").value_double(r.est_frequency());
-                w.key("true_duration_s").value_double(r.truth.mean_duration_s);
-                w.key("est_duration_s").value_double(r.est_duration_s(slot_width));
-                w.key("queue_drops").value_uint(r.queue_drops);
-                w.key("experiments").value_uint(r.result.experiments);
-                w.end_object();
-                total_drops += r.queue_drops;
-                total_experiments += r.result.experiments;
-            }
-        }
-        w.end_array();
-        w.key("total_queue_drops").value_uint(total_drops);
-        w.key("total_experiments").value_uint(total_experiments);
+        w.key("replica").value_uint(r.index);
+        w.key("seed").value_uint(r.seed);
+        w.key("true_frequency").value_double(r.truth.frequency);
+        w.key("est_frequency").value_double(r.est_frequency());
+        w.key("true_duration_s").value_double(r.truth.mean_duration_s);
+        w.key("est_duration_s").value_double(r.est_duration_s(slot_width));
+        w.key("queue_drops").value_uint(r.queue_drops);
+        w.key("experiments").value_uint(r.result.experiments);
         w.end_object();
+        total_drops += r.queue_drops;
+        total_experiments += r.result.experiments;
     }
+    w.end_array();
+    w.key("total_queue_drops").value_uint(total_drops);
+    w.key("total_experiments").value_uint(total_experiments);
+    w.end_object();
     w.end_array();
     w.end_object();
     return w.take() + "\n";

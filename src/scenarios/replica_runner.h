@@ -3,7 +3,7 @@
 // The paper's evaluation reports point estimates from single 15-minute runs,
 // yet §5.2 derives Var(F̂) and Figure 9 studies estimator sensitivity —
 // variance is the story.  ReplicaRunner runs N independent copies of one
-// experiment plan, each with its own RNG stream derived *positionally* from
+// scenario spec, each with its own RNG stream derived *positionally* from
 // (master_seed, replica_index) via Rng::fork, and aggregates the per-replica
 // results into mean / stddev / percentile-bootstrap confidence intervals.
 //
@@ -18,30 +18,21 @@
 #define BB_SCENARIOS_REPLICA_RUNNER_H
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "core/bootstrap.h"
 #include "core/run_hasher.h"
 #include "obs/recorder.h"
-#include "scenarios/experiment.h"
 #include "scenarios/sim_record.h"
+#include "scenarios/spec.h"
 
 namespace bb::scenarios {
 
-// Everything one replica needs; `workload.seed` is the master seed and is
-// replaced by the replica's own derived seed before the run.
-struct ReplicaPlan {
-    TestbedConfig testbed;
-    WorkloadConfig workload;
-    TruthConfig truth;
-    probes::BadabingConfig probe;
-    // Marking rule for analyze(); defaults to the paper's tau/alpha-by-p rule.
-    std::optional<core::MarkingConfig> marking;
-    core::EstimatorOptions estimator{};
+// Per-call observers of a replica run.  They are not part of the scenario:
+// they choose what a run leaves behind, never what it estimates.
+struct ReplicaObservers {
     // Sim-time series recording.  Only replica 0 records (replica i always
     // computes the same world regardless of thread count, so the recorded
     // series stays bit-identical at any parallelism); sampling reads state
@@ -50,7 +41,7 @@ struct ReplicaPlan {
     // Determinism hash chain (DESIGN.md §14): each replica folds its whole
     // build+run+analyze into a core::RunHasher scoped to its worker thread,
     // so the per-replica digest — and the merged run digest — is a pure
-    // function of the plan, at any thread count.
+    // function of the spec and the recording settings, at any thread count.
     bool hashing{false};
     // Bounded trace ring kept by replica 0 for --hash-trace-out (0 = none).
     std::size_t hash_trace_capacity{0};
@@ -72,11 +63,11 @@ struct ReplicaResult {
     double path_loss_rate{0.0};      // (queue + GE drops) / queue arrivals
     double passive_loss_rate{0.0};   // Q-bit observer estimate of the same
     std::uint64_t qbit_merged_blocks{0};
-    // Sim-time series (plan.recording; replica 0 only, else nullptr).
+    // Sim-time series (observers.recording; replica 0 only, else nullptr).
     std::shared_ptr<obs::Recorder> series;
-    // Determinism hash chain (plan.hashing): this replica's final digest and
-    // record count; the hasher itself rides along on replica 0 when a trace
-    // ring was requested (plan.hash_trace_capacity > 0).
+    // Determinism hash chain (observers.hashing): this replica's final digest
+    // and record count; the hasher itself rides along on replica 0 when a
+    // trace ring was requested (observers.hash_trace_capacity > 0).
     std::uint64_t state_hash{0};
     std::uint64_t hash_records{0};
     std::shared_ptr<core::RunHasher> hash_trace;
@@ -94,7 +85,7 @@ struct AggregateStat {
     core::BootstrapInterval ci;      // percentile bootstrap over replica values
 };
 
-// Per-plan aggregate row: the multi-replica analogue of a paper table row.
+// Per-spec aggregate row: the multi-replica analogue of a paper table row.
 struct AggregateRow {
     double p{0.0};
     std::size_t replicas{0};
@@ -105,19 +96,16 @@ struct AggregateRow {
     AggregateStat offered_load;
 };
 
+// Runs spec.replicas copies of one scenario across spec.threads workers
+// (0 = hardware concurrency), seeded off spec.seed.  The spec must name the
+// BADABING prober: the replica harness estimates with it.
 class ReplicaRunner {
 public:
-    struct Config {
-        std::size_t replicas{8};
-        std::size_t threads{0};      // 0 = hardware concurrency
-        std::uint64_t master_seed{7};
-        std::size_t bootstrap_replicates{1000};
-        double confidence{0.95};
-    };
+    // Percentile-bootstrap controls for aggregate().
+    static constexpr std::size_t kBootstrapReplicates = 1000;
+    static constexpr double kConfidence = 0.95;
 
-    explicit ReplicaRunner(Config cfg) : cfg_{cfg} {}
-
-    [[nodiscard]] const Config& config() const noexcept { return cfg_; }
+    explicit ReplicaRunner(ScenarioSpec spec);
 
     // Per-replica seeds: Rng{master}.fork_seed(i) drawn in index order.  A
     // pure function of (master_seed, n) — prefix-stable, so growing n keeps
@@ -125,33 +113,31 @@ public:
     [[nodiscard]] static std::vector<std::uint64_t> replica_seeds(std::uint64_t master_seed,
                                                                   std::size_t n);
 
-    // Run cfg.replicas independent copies of `plan` across cfg.threads
-    // workers.  results[i] always belongs to replica i.
-    [[nodiscard]] std::vector<ReplicaResult> run(const ReplicaPlan& plan) const;
+    // Run every replica.  results[i] always belongs to replica i.
+    [[nodiscard]] std::vector<ReplicaResult> run(const ReplicaObservers& observers = {}) const;
 
     // Merged run digest: per-replica digests folded in replica-index order
     // (core::RunHasher::merge), so the value printed by --state-hash is the
-    // same at 1, 4, or 8 threads.  Only meaningful when plan.hashing was on.
+    // same at 1, 4, or 8 threads.  Only meaningful when observers.hashing
+    // was on.
     [[nodiscard]] static std::uint64_t merged_state_hash(
         const std::vector<ReplicaResult>& results);
 
     // Collapse per-replica results (in index order) into an AggregateRow.
-    // Deterministic given (results, master_seed); does not depend on how the
+    // Deterministic given (results, spec.seed); does not depend on how the
     // results were scheduled.
-    [[nodiscard]] AggregateRow aggregate(const ReplicaPlan& plan,
-                                         const std::vector<ReplicaResult>& results) const;
+    [[nodiscard]] AggregateRow aggregate(const std::vector<ReplicaResult>& results) const;
 
 private:
-    Config cfg_;
+    ScenarioSpec spec_;
 };
 
-// JSON document for a list of aggregate rows plus their per-replica
-// trajectories (one entry per row, rows[i] aggregated from replicas[i]).
-// Emitted by the table benches as BENCH_<name>.json and by badabing_sim
-// --json for downstream plotting.
-[[nodiscard]] std::string aggregate_rows_json(const std::string& label, TimeNs slot_width,
-                                              const std::vector<AggregateRow>& rows,
-                                              const std::vector<std::vector<ReplicaResult>>& replicas);
+// JSON document for one aggregate row plus its per-replica trajectory (a
+// one-element "rows" array, the format downstream plotters read).  Emitted
+// by badabing_sim --json.
+[[nodiscard]] std::string aggregate_json(const std::string& label, TimeNs slot_width,
+                                         const AggregateRow& row,
+                                         const std::vector<ReplicaResult>& replicas);
 
 }  // namespace bb::scenarios
 

@@ -21,7 +21,7 @@
 
 namespace bb::scenarios {
 
-// Recording knobs carried by ReplicaPlan and the sweep engine; `enabled`
+// Recording knobs carried by ReplicaObservers and the sweep engine; `enabled`
 // additionally requires the obs kill switch (BB_OBS=off wins).
 struct SimRecordingConfig {
     bool enabled{false};

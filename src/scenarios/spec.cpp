@@ -606,25 +606,4 @@ core::MarkingConfig marking_for(const ScenarioSpec& spec) {
     return m;
 }
 
-ReplicaPlan replica_plan_from(const ScenarioSpec& spec) {
-    BB_CHECK_MSG(spec.tool == ScenarioSpec::ProbeTool::badabing,
-                 "replica_plan_from: the replica harness estimates with BADABING");
-    ReplicaPlan plan;
-    plan.testbed = spec.testbed;
-    plan.workload = spec.workload;
-    plan.truth = spec.truth;
-    plan.probe = spec.badabing;
-    if (spec.marking_alpha || spec.marking_tau) plan.marking = marking_for(spec);
-    plan.estimator = spec.estimator;
-    return plan;
-}
-
-ReplicaRunner::Config runner_config_from(const ScenarioSpec& spec) {
-    ReplicaRunner::Config rc;
-    rc.replicas = spec.replicas;
-    rc.threads = spec.threads;
-    rc.master_seed = spec.seed;
-    return rc;
-}
-
 }  // namespace bb::scenarios

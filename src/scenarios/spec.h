@@ -5,9 +5,10 @@
 // buffer, queue discipline, ECN, Gilbert-Elliott), traffic mix, probe
 // configuration (badabing / zing / sting, streaming on/off), truth knobs,
 // marking overrides, and run controls (replicas / threads / seed).  The
-// factories at the bottom turn a spec into the same Testbed / Experiment /
-// ReplicaPlan objects the hand-wired scenarios build — the golden suites
-// pin that the two paths are bit-identical.
+// factories at the bottom turn a spec into the same Testbed / Experiment
+// objects the hand-wired scenarios build — the golden suites pin that the
+// two paths are bit-identical.  A multi-replica run is a ReplicaRunner over
+// the spec itself (scenarios/replica_runner.h).
 //
 // Parsing is strict: unknown keys, out-of-range values, and type mismatches
 // all fail with a one-line "<file>:<line>: <section>.<key>: <why>"
@@ -22,7 +23,6 @@
 #include "probes/sting.h"
 #include "scenarios/experiment.h"
 #include "scenarios/figure3.h"
-#include "scenarios/replica_runner.h"
 #include "util/json.h"
 
 namespace bb::scenarios {
@@ -103,12 +103,6 @@ struct BuiltExperiment {
 // Marking parameters for analyze(): the spec's explicit alpha/tau when set,
 // else the paper's defaults for the spec's probe rate.
 [[nodiscard]] core::MarkingConfig marking_for(const ScenarioSpec& spec);
-
-// The multi-replica plan the sweep engine and table benches feed to
-// ReplicaRunner.  Requires tool == badabing (the replica harness estimates
-// with BADABING); callers gate on spec.tool first.
-[[nodiscard]] ReplicaPlan replica_plan_from(const ScenarioSpec& spec);
-[[nodiscard]] ReplicaRunner::Config runner_config_from(const ScenarioSpec& spec);
 
 }  // namespace bb::scenarios
 

@@ -329,18 +329,18 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
         }
 
         if (!oc.cached) {
-            ReplicaPlan plan = replica_plan_from(cell.spec);
-            plan.recording = cfg_.recording;
-            plan.hashing = cfg_.state_hash;
+            ScenarioSpec spec = cell.spec;
+            if (cfg_.threads != 0) spec.threads = cfg_.threads;
+            const ReplicaRunner runner{std::move(spec)};
+            ReplicaObservers observers;
+            observers.recording = cfg_.recording;
+            observers.hashing = cfg_.state_hash;
             // The trace ring rides on replica 0 of the first computed cell.
-            if (plan.hashing && out.hash_trace == nullptr) {
-                plan.hash_trace_capacity = cfg_.hash_trace_capacity;
+            if (observers.hashing && out.hash_trace == nullptr) {
+                observers.hash_trace_capacity = cfg_.hash_trace_capacity;
             }
-            ReplicaRunner::Config rc = runner_config_from(cell.spec);
-            if (cfg_.threads != 0) rc.threads = cfg_.threads;
-            const ReplicaRunner runner{rc};
-            const std::vector<ReplicaResult> replicas = runner.run(plan);
-            if (plan.hashing) {
+            const std::vector<ReplicaResult> replicas = runner.run(observers);
+            if (observers.hashing) {
                 oc.hashed = true;
                 oc.state_hash = ReplicaRunner::merged_state_hash(replicas);
                 ++out.hashed_cells;
@@ -348,7 +348,7 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
                     out.hash_trace = replicas[0].hash_trace;
                 }
             }
-            const AggregateRow row = runner.aggregate(plan, replicas);
+            const AggregateRow row = runner.aggregate(replicas);
             text = cell_result_json(cell, row, replicas, cell.spec.badabing.slot_width);
             JsonParse reparsed = json_parse(text, cache_path.empty() ? "<cell>" : cache_path);
             oc.result = std::move(reparsed.value);

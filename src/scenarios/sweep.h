@@ -34,6 +34,7 @@
 
 #include "core/run_hasher.h"
 #include "scenarios/progress.h"
+#include "scenarios/replica_runner.h"
 #include "scenarios/sim_record.h"
 #include "scenarios/spec.h"
 #include "util/func.h"

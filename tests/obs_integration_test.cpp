@@ -15,16 +15,17 @@
 namespace bb::scenarios {
 namespace {
 
-ReplicaPlan short_cbr_plan() {
-    ReplicaPlan plan;
-    plan.workload.kind = TrafficKind::cbr_uniform;
-    plan.workload.duration = seconds_i(8);
-    plan.workload.seed = 7;
-    plan.workload.episode_duration = milliseconds(68);
-    plan.workload.mean_episode_gap = seconds_i(2);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
-    return plan;
+ScenarioSpec short_cbr_spec(std::size_t replicas, std::size_t threads) {
+    auto r = load_scenario_spec_text(R"({
+      "traffic": {"kind": "cbr_uniform", "duration_s": 8, "episode_ms": 68,
+                  "mean_episode_gap_s": 2},
+      "probe": {"badabing": {"p": 0.3}},
+      "run": {"seed": 7}
+    })", "short_cbr");
+    EXPECT_TRUE(r.ok) << r.error;
+    r.spec.replicas = replicas;
+    r.spec.threads = threads;
+    return r.spec;
 }
 
 TEST(ObsIntegration, CountersMatchRunSummaryExactly) {
@@ -36,14 +37,8 @@ TEST(ObsIntegration, CountersMatchRunSummaryExactly) {
     const std::uint64_t drops0 = drops.value();
     const std::uint64_t probes0 = probes_sent.value();
 
-    ReplicaRunner::Config cfg;
-    cfg.replicas = 3;
-    cfg.threads = 2;
-    cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 50;
-    const ReplicaRunner runner{cfg};
-    const auto plan = short_cbr_plan();
-    const auto results = runner.run(plan);
+    const ReplicaRunner runner{short_cbr_spec(3, 2)};
+    const auto results = runner.run();
     ASSERT_EQ(results.size(), 3u);
 
     std::uint64_t want_experiments = 0;
@@ -70,15 +65,9 @@ TEST(ObsIntegration, TraceCapturesPerReplicaSpans) {
     obs::set_enabled(true);
     obs::Trace::start();
 
-    ReplicaRunner::Config cfg;
-    cfg.replicas = 2;
-    cfg.threads = 2;
-    cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 50;
-    const ReplicaRunner runner{cfg};
-    const auto plan = short_cbr_plan();
-    const auto results = runner.run(plan);
-    (void)runner.aggregate(plan, results);
+    const ReplicaRunner runner{short_cbr_spec(2, 2)};
+    const auto results = runner.run();
+    (void)runner.aggregate(results);
 
     // One "replica" span per replica, plus nested experiment.run /
     // badabing.analyze spans and the aggregate span.
@@ -107,20 +96,14 @@ TEST(ObsIntegration, TraceCapturesPerReplicaSpans) {
 
 TEST(ObsIntegration, KillSwitchFreezesCountersWithoutChangingResults) {
     obs::set_enabled(true);
-    ReplicaRunner::Config cfg;
-    cfg.replicas = 1;
-    cfg.threads = 1;
-    cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 50;
-    const ReplicaRunner runner{cfg};
-    const auto plan = short_cbr_plan();
+    const ReplicaRunner runner{short_cbr_spec(1, 1)};
 
-    const auto on_results = runner.run(plan);
+    const auto on_results = runner.run();
 
     obs::Counter& scored = obs::counter("core.reports_scored");
     const std::uint64_t before = scored.value();
     obs::set_enabled(false);
-    const auto off_results = runner.run(plan);
+    const auto off_results = runner.run();
     EXPECT_EQ(scored.value(), before);  // nothing counted while disabled
     obs::set_enabled(true);
 

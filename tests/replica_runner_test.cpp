@@ -4,31 +4,26 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+
+#include "scenarios/sweep.h"
 
 namespace bb::scenarios {
 namespace {
 
 // A small-but-real scenario: CBR with engineered 68 ms loss episodes every
-// ~2 s, 8 simulated seconds per replica, BADABING at p = 0.3.
-ReplicaPlan short_cbr_plan() {
-    ReplicaPlan plan;
-    plan.workload.kind = TrafficKind::cbr_uniform;
-    plan.workload.duration = seconds_i(8);
-    plan.workload.seed = 7;  // master seed; replicas fork from it
-    plan.workload.episode_duration = milliseconds(68);
-    plan.workload.mean_episode_gap = seconds_i(2);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
-    return plan;
-}
-
-ReplicaRunner::Config runner_config(std::size_t replicas, std::size_t threads) {
-    ReplicaRunner::Config cfg;
-    cfg.replicas = replicas;
-    cfg.threads = threads;
-    cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 200;
-    return cfg;
+// ~2 s, 8 simulated seconds per replica, BADABING at p = 0.3, master seed 7.
+ScenarioSpec short_cbr_spec(std::size_t replicas, std::size_t threads) {
+    auto r = load_scenario_spec_text(R"({
+      "traffic": {"kind": "cbr_uniform", "duration_s": 8, "episode_ms": 68,
+                  "mean_episode_gap_s": 2},
+      "probe": {"badabing": {"p": 0.3}},
+      "run": {"seed": 7}
+    })", "short_cbr");
+    EXPECT_TRUE(r.ok) << r.error;
+    r.spec.replicas = replicas;
+    r.spec.threads = threads;
+    return r.spec;
 }
 
 void expect_identical(const ReplicaResult& a, const ReplicaResult& b) {
@@ -59,12 +54,11 @@ void expect_identical(const AggregateStat& a, const AggregateStat& b) {
 // results and aggregates, regardless of thread count.  Seeding is
 // positional, so the scheduler can only reorder work, not change it.
 TEST(ReplicaRunner, ThreadCountDoesNotChangeResults) {
-    const auto plan = short_cbr_plan();
-    const ReplicaRunner serial{runner_config(6, 1)};
-    const ReplicaRunner parallel{runner_config(6, 8)};
+    const ReplicaRunner serial{short_cbr_spec(6, 1)};
+    const ReplicaRunner parallel{short_cbr_spec(6, 8)};
 
-    const auto r1 = serial.run(plan);
-    const auto r8 = parallel.run(plan);
+    const auto r1 = serial.run();
+    const auto r8 = parallel.run();
     ASSERT_EQ(r1.size(), 6u);
     ASSERT_EQ(r8.size(), 6u);
     for (std::size_t i = 0; i < r1.size(); ++i) {
@@ -72,8 +66,8 @@ TEST(ReplicaRunner, ThreadCountDoesNotChangeResults) {
         expect_identical(r1[i], r8[i]);
     }
 
-    const auto a1 = serial.aggregate(plan, r1);
-    const auto a8 = parallel.aggregate(plan, r8);
+    const auto a1 = serial.aggregate(r1);
+    const auto a8 = parallel.aggregate(r8);
     EXPECT_EQ(a1.replicas, a8.replicas);
     expect_identical(a1.true_frequency, a8.true_frequency);
     expect_identical(a1.est_frequency, a8.est_frequency);
@@ -97,9 +91,8 @@ TEST(ReplicaRunner, SeedsArePositionalAndPrefixStable) {
 }
 
 TEST(ReplicaRunner, ReplicasAreActuallyIndependentRuns) {
-    const auto plan = short_cbr_plan();
-    const ReplicaRunner runner{runner_config(4, 2)};
-    const auto results = runner.run(plan);
+    const ReplicaRunner runner{short_cbr_spec(4, 2)};
+    const auto results = runner.run();
     ASSERT_EQ(results.size(), 4u);
     // Different seeds produce different probe designs (geometric draws), so
     // at least one pair of replicas must differ in probes sent.
@@ -119,11 +112,10 @@ TEST(ReplicaRunner, ReplicasAreActuallyIndependentRuns) {
 }
 
 TEST(ReplicaRunner, SingleReplicaAggregationDegeneratesGracefully) {
-    const auto plan = short_cbr_plan();
-    const ReplicaRunner runner{runner_config(1, 1)};
-    const auto results = runner.run(plan);
+    const ReplicaRunner runner{short_cbr_spec(1, 1)};
+    const auto results = runner.run();
     ASSERT_EQ(results.size(), 1u);
-    const auto agg = runner.aggregate(plan, results);
+    const auto agg = runner.aggregate(results);
 
     EXPECT_EQ(agg.replicas, 1u);
     // No NaNs anywhere; the CI collapses to a zero-width interval at the
@@ -142,11 +134,10 @@ TEST(ReplicaRunner, SingleReplicaAggregationDegeneratesGracefully) {
 }
 
 TEST(ReplicaRunner, ZeroReplicasYieldEmptyButFiniteAggregate) {
-    const auto plan = short_cbr_plan();
-    const ReplicaRunner runner{runner_config(0, 4)};
-    const auto results = runner.run(plan);
+    const ReplicaRunner runner{short_cbr_spec(0, 4)};
+    const auto results = runner.run();
     EXPECT_TRUE(results.empty());
-    const auto agg = runner.aggregate(plan, results);
+    const auto agg = runner.aggregate(results);
     EXPECT_EQ(agg.replicas, 0u);
     EXPECT_FALSE(agg.est_frequency.ci.valid);
     EXPECT_TRUE(std::isfinite(agg.est_frequency.mean));
@@ -154,18 +145,136 @@ TEST(ReplicaRunner, ZeroReplicasYieldEmptyButFiniteAggregate) {
 }
 
 TEST(ReplicaRunner, JsonEmissionContainsRowsAndTrajectories) {
-    const auto plan = short_cbr_plan();
-    const ReplicaRunner runner{runner_config(2, 2)};
-    const auto results = runner.run(plan);
-    const auto agg = runner.aggregate(plan, results);
-    const auto doc =
-        aggregate_rows_json("unit", plan.probe.slot_width, {agg}, {results});
+    const ScenarioSpec spec = short_cbr_spec(2, 2);
+    const ReplicaRunner runner{spec};
+    const auto results = runner.run();
+    const auto agg = runner.aggregate(results);
+    const auto doc = aggregate_json("unit", spec.badabing.slot_width, agg, results);
     EXPECT_NE(doc.find("\"label\":\"unit\""), std::string::npos);
     EXPECT_NE(doc.find("\"est_frequency\""), std::string::npos);
     EXPECT_NE(doc.find("\"trajectory\""), std::string::npos);
     EXPECT_NE(doc.find("\"replica\":1"), std::string::npos);
     EXPECT_EQ(doc.find("nan"), std::string::npos);
 }
+
+// Replica `seed`'s world rebuilt by hand from the spec, analyzed under an
+// explicit marking and estimator.
+probes::BadabingResult rebuild_replica(ScenarioSpec spec, std::uint64_t seed,
+                                       const core::MarkingConfig& marking,
+                                       const core::EstimatorOptions& options) {
+    spec.testbed.seed = seed ^ 0x5EEDULL;
+    spec.workload.seed = seed;
+    const BuiltExperiment built = build_experiment(spec);
+    built.experiment->run();
+    return built.badabing->analyze(marking, options);
+}
+
+// The spec is the whole description of a replica run: the run section picks
+// the replica count and seeds, probe.badabing.improved the probe design, and
+// the analysis section the marking and the estimator options.
+TEST(ReplicaRunner, SpecSectionsReachTheReplicaResults) {
+    const auto r = load_scenario_spec_text(R"({
+      "traffic": {"kind": "cbr_uniform", "duration_s": 8, "mean_episode_gap_s": 2},
+      "probe": {"badabing": {"p": 0.5, "improved": true}},
+      "analysis": {"alpha": 0.2, "tau_ms": 40, "frequency_from_extended": false,
+                   "pairs_from_extended": true},
+      "run": {"replicas": 3, "threads": 2, "seed": 11}
+    })", "sections");
+    ASSERT_TRUE(r.ok) << r.error;
+    const auto results = ReplicaRunner{r.spec}.run();
+    ASSERT_EQ(results.size(), 3u);
+    const auto seeds = ReplicaRunner::replica_seeds(11, 3);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].seed, seeds[i]);
+        EXPECT_GT(results[i].result.counts.extended_total(), 0u) << "improved design";
+    }
+
+    core::MarkingConfig marking;
+    marking.alpha = 0.2;
+    marking.tau = milliseconds(40);
+    core::EstimatorOptions options;
+    options.frequency_from_extended = false;
+    options.pairs_from_extended = true;
+    const auto want = rebuild_replica(r.spec, seeds[1], marking, options);
+    const auto& got = results[1].result;
+    EXPECT_EQ(got.counts.basic, want.counts.basic);
+    EXPECT_EQ(got.counts.extended, want.counts.extended);
+    EXPECT_EQ(got.frequency.value, want.frequency.value);
+    EXPECT_EQ(got.frequency.samples, want.frequency.samples);
+    EXPECT_EQ(got.duration_basic.R, want.duration_basic.R);
+    EXPECT_EQ(got.duration_basic.S, want.duration_basic.S);
+
+    // The paper-default analysis of the same world scores differently, so
+    // the match above is the analysis section at work.
+    ScenarioSpec defaults = r.spec;
+    defaults.marking_alpha.reset();
+    defaults.marking_tau.reset();
+    const auto paper = rebuild_replica(r.spec, seeds[1], marking_for(defaults), {});
+    EXPECT_NE(paper.counts.basic, want.counts.basic);
+    EXPECT_NE(paper.frequency.samples, want.frequency.samples);
+}
+
+#ifdef BB_EXAMPLES_DIR
+// Tables 4-6 as shipped: the p = 0.3 cell of examples/table{4,5,6}.json,
+// shortened to 20 s with 2 replicas.  The pinned aggregates are the values
+// the former table benches printed for the same run.
+struct PinnedStat {
+    double mean, ci_lo, ci_hi;
+};
+struct PinnedRow {
+    PinnedStat true_frequency, est_frequency, true_duration_s, est_duration_s;
+};
+
+void expect_pinned(const char* name, const AggregateStat& got, const PinnedStat& want) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(got.mean, want.mean);
+    EXPECT_EQ(got.ci.lo, want.ci_lo);
+    EXPECT_EQ(got.ci.hi, want.ci_hi);
+}
+
+void expect_table_row(const std::string& file, const PinnedRow& want) {
+    SCOPED_TRACE(file);
+    const auto sr = load_sweep_spec_file(std::string{BB_EXAMPLES_DIR} + "/" + file);
+    ASSERT_TRUE(sr.ok) << sr.error;
+    const auto ex = expand_sweep(sr.sweep, file);
+    ASSERT_TRUE(ex.ok) << ex.error;
+    ScenarioSpec spec = ex.cells.at(1).spec;
+    ASSERT_EQ(spec.badabing.p, 0.3);
+    spec.workload.duration = seconds_i(20);
+    spec.replicas = 2;
+    const ReplicaRunner runner{spec};
+    const AggregateRow row = runner.aggregate(runner.run());
+    ASSERT_EQ(row.replicas, 2u);
+    expect_pinned("true_frequency", row.true_frequency, want.true_frequency);
+    expect_pinned("est_frequency", row.est_frequency, want.est_frequency);
+    expect_pinned("true_duration_s", row.true_duration_s, want.true_duration_s);
+    expect_pinned("est_duration_s", row.est_duration_s, want.est_duration_s);
+}
+
+TEST(ReplicaRunner, Table4RowFromExample) {
+    expect_table_row("table4.json",
+                     {{0.00575, 0, 0.0115},
+                      {0.00801924619085806, 0, 0.01603849238171612},
+                      {0.03616666666666667, 0, 0.07233333333333335},
+                      {0.0975, 0, 0.195}});
+}
+
+TEST(ReplicaRunner, Table5RowFromExample) {
+    expect_table_row("table5.json",
+                     {{0.007125, 0, 0.01425},
+                      {0.009222133119486768, 0, 0.018444266238973536},
+                      {0.043898461666666666, 0, 0.08779692333333333},
+                      {0.1125, 0, 0.225}});
+}
+
+TEST(ReplicaRunner, Table6RowFromExample) {
+    expect_table_row("table6.json",
+                     {{0.006375, 0, 0.01275},
+                      {0.002617801047120419, 0, 0.005235602094240838},
+                      {0.06074, 0, 0.12148},
+                      {0, 0, 0}});
+}
+#endif  // BB_EXAMPLES_DIR
 
 }  // namespace
 }  // namespace bb::scenarios

@@ -32,23 +32,24 @@ WorkloadConfig short_cbr() {
     return wl;
 }
 
-ReplicaPlan short_plan(bool recording) {
-    ReplicaPlan plan;
-    plan.workload = short_cbr();
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
-    plan.recording.enabled = recording;
-    plan.recording.interval = milliseconds(50);
-    return plan;
+ScenarioSpec short_spec(std::size_t replicas, std::size_t threads) {
+    auto r = load_scenario_spec_text(R"({
+      "traffic": {"kind": "cbr_uniform", "duration_s": 8, "episode_ms": 68,
+                  "mean_episode_gap_s": 2},
+      "probe": {"badabing": {"p": 0.3}},
+      "run": {"seed": 7}
+    })", "short_cbr");
+    EXPECT_TRUE(r.ok) << r.error;
+    r.spec.replicas = replicas;
+    r.spec.threads = threads;
+    return r.spec;
 }
 
-ReplicaRunner::Config runner_config(std::size_t replicas, std::size_t threads) {
-    ReplicaRunner::Config cfg;
-    cfg.replicas = replicas;
-    cfg.threads = threads;
-    cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 100;
-    return cfg;
+ReplicaObservers recording_observers(bool recording) {
+    ReplicaObservers observers;
+    observers.recording.enabled = recording;
+    observers.recording.interval = milliseconds(50);
+    return observers;
 }
 
 // The fig4_6 golden equivalence: the recorder's sim.queue.delay_s gauge must
@@ -94,11 +95,10 @@ TEST(ExperimentRecorder, MatchesQueueSamplerPointwise) {
 
 TEST(ExperimentRecorder, SeriesBitIdenticalAcrossThreadCounts) {
     ObsOn guard;
-    const ReplicaPlan plan = short_plan(true);
     std::vector<std::string> docs;
     for (const std::size_t threads : {1u, 4u, 8u}) {
-        const ReplicaRunner runner{runner_config(4, threads)};
-        const auto results = runner.run(plan);
+        const ReplicaRunner runner{short_spec(4, threads)};
+        const auto results = runner.run(recording_observers(true));
         ASSERT_EQ(results.size(), 4u);
         ASSERT_NE(results[0].series, nullptr) << threads << " threads";
         // Only replica 0 records.
@@ -113,9 +113,9 @@ TEST(ExperimentRecorder, SeriesBitIdenticalAcrossThreadCounts) {
 
 TEST(ExperimentRecorder, RecordingDoesNotChangeEstimates) {
     ObsOn guard;
-    const ReplicaRunner runner{runner_config(3, 2)};
-    const auto off = runner.run(short_plan(false));
-    const auto on = runner.run(short_plan(true));
+    const ReplicaRunner runner{short_spec(3, 2)};
+    const auto off = runner.run(recording_observers(false));
+    const auto on = runner.run(recording_observers(true));
     ASSERT_EQ(off.size(), on.size());
     for (std::size_t i = 0; i < off.size(); ++i) {
         SCOPED_TRACE(i);
@@ -127,8 +127,8 @@ TEST(ExperimentRecorder, RecordingDoesNotChangeEstimates) {
         EXPECT_EQ(off[i].queue_drops, on[i].queue_drops);
         EXPECT_EQ(off[i].path_loss_rate, on[i].path_loss_rate);
     }
-    const auto agg_off = runner.aggregate(short_plan(false), off);
-    const auto agg_on = runner.aggregate(short_plan(true), on);
+    const auto agg_off = runner.aggregate(off);
+    const auto agg_on = runner.aggregate(on);
     EXPECT_EQ(agg_off.est_frequency.mean, agg_on.est_frequency.mean);
     EXPECT_EQ(agg_off.est_frequency.ci.lo, agg_on.est_frequency.ci.lo);
 }

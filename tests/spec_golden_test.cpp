@@ -7,10 +7,11 @@
 // pure re-expression of the hand-wired wiring, so a config file drives the
 // exact same simulation as C++ code did.
 //
-// The examples/ spec files are additionally parsed (and, where cheap,
-// expanded) to keep the shipped configs loadable.
+// Every examples/*.json spec file is additionally parsed and expanded to
+// keep the shipped configs loadable.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "scenarios/spec.h"
@@ -135,15 +136,18 @@ TEST(SpecGolden, Fig9AlphaSweepFromSpecs) {
 
 #ifdef BB_EXAMPLES_DIR
 TEST(SpecGolden, ShippedExampleSpecsParseAndExpand) {
-    const std::string dir = BB_EXAMPLES_DIR;
-    for (const char* name : {"table4.json", "ablation_aqm_sweep.json",
-                             "sweep_smoke.json", "fig9.json"}) {
-        const auto r = load_sweep_spec_file(dir + "/" + name);
+    std::size_t specs = 0;
+    for (const auto& entry : std::filesystem::directory_iterator{BB_EXAMPLES_DIR}) {
+        if (entry.path().extension() != ".json") continue;
+        const std::string name = entry.path().filename().string();
+        const auto r = load_sweep_spec_file(entry.path().string());
         ASSERT_TRUE(r.ok) << name << ": " << r.error;
         const auto e = expand_sweep(r.sweep, name);
         ASSERT_TRUE(e.ok) << name << ": " << e.error;
         EXPECT_FALSE(e.cells.empty()) << name;
+        ++specs;
     }
+    EXPECT_GE(specs, 6u);
 }
 
 TEST(SpecGolden, ShippedAblationSweepMatchesHistoricalCellOrder) {

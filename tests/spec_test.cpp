@@ -186,35 +186,5 @@ TEST(SpecFactory, BuildTestbedHonoursSpec) {
     EXPECT_EQ(tb->config().discipline, QueueDiscipline::red);
 }
 
-TEST(SpecFactory, ReplicaPlanCarriesProbeAndEstimator) {
-    const auto r = parse(R"({
-      "probe": {"badabing": {"p": 0.5, "improved": true}},
-      "analysis": {"frequency_from_extended": false},
-      "run": {"replicas": 3, "threads": 2, "seed": 11}
-    })");
-    ASSERT_TRUE(r.ok) << r.error;
-    const ReplicaPlan plan = replica_plan_from(r.spec);
-    EXPECT_DOUBLE_EQ(plan.probe.p, 0.5);
-    EXPECT_TRUE(plan.probe.improved);
-    EXPECT_EQ(plan.probe.total_slots, 0);
-    EXPECT_FALSE(plan.estimator.frequency_from_extended);
-    EXPECT_FALSE(plan.marking.has_value());
-    const ReplicaRunner::Config rc = runner_config_from(r.spec);
-    EXPECT_EQ(rc.replicas, 3u);
-    EXPECT_EQ(rc.threads, 2u);
-    EXPECT_EQ(rc.master_seed, 11u);
-}
-
-TEST(SpecFactory, ExplicitMarkingFlowsThrough) {
-    const auto r = parse(R"({"analysis": {"alpha": 0.2, "tau_ms": 40}})");
-    ASSERT_TRUE(r.ok) << r.error;
-    const auto marking = marking_for(r.spec);
-    EXPECT_DOUBLE_EQ(marking.alpha, 0.2);
-    EXPECT_EQ(marking.tau, milliseconds(40));
-    const ReplicaPlan plan = replica_plan_from(r.spec);
-    ASSERT_TRUE(plan.marking.has_value());
-    EXPECT_DOUBLE_EQ(plan.marking->alpha, 0.2);
-}
-
 }  // namespace
 }  // namespace bb::scenarios

@@ -124,32 +124,32 @@ void run_stream(const bb::scenarios::ScenarioSpec& spec, const StreamParams& sp,
     });
 }
 
-// Monte Carlo over seeds: the spec's replica plan across its worker threads.
+// Monte Carlo over seeds: the spec's replicas across its worker threads.
 void run_replicas(const bb::scenarios::ScenarioSpec& spec, const std::string& label,
                   const std::string& json_path, bb::tools::ToolOutputs& outputs) {
     using namespace bb;
-    auto plan = scenarios::replica_plan_from(spec);
-    plan.recording = outputs.recording();
+    const scenarios::ReplicaRunner runner{spec};
+    scenarios::ReplicaObservers observers;
+    observers.recording = outputs.recording();
     // Hashing is scoped to the replica workers; the main thread (and its
     // aggregation bootstrap draws) stays outside the chain, so the merged
     // digest is identical at any --threads value.
-    plan.hashing = outputs.hashing();
-    plan.hash_trace_capacity = outputs.hash_trace_capacity();
-    const scenarios::ReplicaRunner runner{scenarios::runner_config_from(spec)};
+    observers.hashing = outputs.hashing();
+    observers.hash_trace_capacity = outputs.hash_trace_capacity();
 
     std::printf("running %zu replicas of %s for %.0f s at %lld Mb/s (p = %.2f%s)...\n",
                 spec.replicas, label.c_str(), spec.workload.duration.to_seconds(),
                 static_cast<long long>(spec.testbed.bottleneck_rate_bps / 1'000'000),
                 spec.badabing.p, spec.badabing.improved ? ", improved" : "");
-    const auto results = runner.run(plan);
-    const auto agg = runner.aggregate(plan, results);
+    const auto results = runner.run(observers);
+    const auto agg = runner.aggregate(results);
 
     std::printf("\n%-8s | %-12s | %-10s | %-10s | %-10s\n", "replica", "seed", "true freq",
                 "est freq", "est dur(s)");
     for (const auto& r : results) {
         std::printf("%-8zu | %-12llx | %-10.4f | %-10.4f | %-10.3f\n", r.index,
                     static_cast<unsigned long long>(r.seed), r.truth.frequency,
-                    r.est_frequency(), r.est_duration_s(plan.probe.slot_width));
+                    r.est_frequency(), r.est_duration_s(spec.badabing.slot_width));
     }
     std::printf("\naggregate (mean +/- 95%% bootstrap CI over %zu replicas):\n",
                 results.size());
@@ -163,7 +163,7 @@ void run_replicas(const bb::scenarios::ScenarioSpec& spec, const std::string& la
                 agg.est_duration_s.ci.lo, agg.est_duration_s.ci.hi);
     std::printf("  probe load: %.4f of bottleneck\n", agg.offered_load.mean);
 
-    if (plan.hashing) {
+    if (observers.hashing) {
         outputs.report_hash(scenarios::ReplicaRunner::merged_state_hash(results),
                             std::to_string(results.size()) +
                                 " replicas merged in index order",
@@ -171,8 +171,8 @@ void run_replicas(const bb::scenarios::ScenarioSpec& spec, const std::string& la
     }
     if (results[0].series) outputs.write_series(*results[0].series, " (replica 0)");
     outputs.write("json", "json", json_path, [&] {
-        return write_text_file(json_path, scenarios::aggregate_rows_json(
-                                              label, plan.probe.slot_width, {agg}, {results}));
+        return write_text_file(json_path, scenarios::aggregate_json(
+                                              label, spec.badabing.slot_width, agg, results));
     });
 }
 
