@@ -38,6 +38,13 @@ Rules (see DESIGN.md §10 for rationale):
                       goes through the scenario DSL and the
                       scenarios::build_testbed factory, so every run is
                       reproducible from a spec document.
+  one-probe-train     probe packets (`.kind = sim::PacketKind::probe`) are
+                      built only in src/probes/probe_train.cpp, the one
+                      BADABING-style train every slot prober sends, and in
+                      src/probes/zing.cpp, whose single-packet flights are
+                      not trains: a prober that builds its own packets
+                      forks the packet-id, pool-parking and receive-record
+                      logic the goldens pin.
 
 Waivers, for the rare justified exception (justify in a trailing comment):
 
@@ -223,6 +230,16 @@ RULES = [
             "hand-wired scenario construction; go through the scenario DSL "
             "and scenarios::build_testbed"),
     },
+    {
+        "id": "one-probe-train",
+        "scope": lambda p: (in_dirs(p, "src")
+                            and p not in ("src/probes/probe_train.cpp",
+                                          "src/probes/zing.cpp")),
+        "check": grep_rule(
+            r"\.kind\s*=(?!=)\s*(?:sim::)?PacketKind::probe\b",
+            "probe packet built outside the shared train; send it through "
+            "probes::ProbeTrain"),
+    },
 ]
 
 
@@ -349,6 +366,17 @@ SELF_TEST_TABLE = [
     ("no-adhoc-scenario", "bench/x.cpp", "scenarios::Testbed& tb = *tb_ptr;", False, False),  # ref ok
     ("no-adhoc-scenario", "bench/x.cpp",
      "sim::QueueBase::LinkConfig link;  // bb-lint: allow(no-adhoc-scenario)", False, False),
+    ("one-probe-train", "src/probes/badabing.cpp", "pkt.kind = sim::PacketKind::probe;",
+     False, True),
+    ("one-probe-train", "src/probes/x.cpp", "p.kind=PacketKind::probe;", False, True),
+    ("one-probe-train", "src/probes/probe_train.cpp", "pkt.kind = sim::PacketKind::probe;",
+     False, False),  # the train itself
+    ("one-probe-train", "src/probes/zing.cpp", "pkt.kind = sim::PacketKind::probe;",
+     False, False),  # single-packet flights
+    ("one-probe-train", "src/probes/badabing.cpp",
+     "if (pkt.kind == sim::PacketKind::probe) return;", False, False),  # a test, not a build
+    ("one-probe-train", "tests/x.cpp", "pkt.kind = sim::PacketKind::probe;",
+     False, False),  # out of scope
 ]
 
 

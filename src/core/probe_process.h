@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/report_sink.h"
@@ -27,39 +28,23 @@ struct ProbeProcessConfig {
     double extended_fraction{0.5};  // P(extended | experiment started)
 };
 
-// Draw a full design for `total_slots` slots.
+// Throws std::invalid_argument unless p is in (0, 1] and extended_fraction
+// in [0, 1].  Every probe process checks its configuration here once, up
+// front, so the per-slot draw below never has to.
+void validate_probe_process(const ProbeProcessConfig& cfg);
+
+// The per-slot draw every probe process makes, in this order: a
+// Bernoulli(p) start decision, then — only when an experiment starts under
+// the improved design — a Bernoulli(extended_fraction) basic-vs-extended
+// decision.  Returns the kind of the experiment started at this slot, or
+// nothing.  The goldens and the run-state digest pin this draw order.
+[[nodiscard]] std::optional<ExperimentKind> draw_experiment_start(
+    Rng& rng, const ProbeProcessConfig& cfg);
+
+// Draw a full design for `total_slots` slots: one draw_experiment_start per
+// slot, keeping only experiments that fit inside the window.
 [[nodiscard]] ProbeDesign design_probe_process(Rng& rng, SlotIndex total_slots,
                                                const ProbeProcessConfig& cfg);
-
-// Geometric skip-ahead sampler for the per-slot Bernoulli(p) start process:
-// instead of one uniform draw per slot, draws the gap to the next experiment
-// start directly via inversion — G = floor(log(1-U) / log(1-p)) failures
-// before the next success, so the cost is one draw per *experiment*, not per
-// slot (a ~1/p throughput win for the sparse probing rates the paper uses,
-// p ≤ 0.3).  The sampled start process is distributionally identical to the
-// per-slot designer (property-tested), but consumes the RNG differently, so
-// it is NOT draw-for-draw reproducible against design_probe_process — paper
-// artifacts keep using the per-slot path; sweeps and load generators that
-// only need the right distribution should prefer this one.
-class GeometricSkipAhead {
-public:
-    explicit GeometricSkipAhead(double p);
-
-    // Number of non-start slots before the next start (>= 0).
-    [[nodiscard]] SlotIndex next_gap(Rng& rng) const;
-
-private:
-    double p_;
-    double inv_log_q_;  // 1 / log(1-p); 0 when p == 1
-};
-
-// Skip-ahead counterpart of design_probe_process: same configuration, same
-// "keep every experiment fully inside the window" rule, same output
-// invariants (experiments ordered by start slot, probe_slots sorted unique),
-// identical distribution of starts/kinds — but O(experiments) RNG draws
-// instead of O(slots).
-[[nodiscard]] ProbeDesign design_probe_process_skip_ahead(Rng& rng, SlotIndex total_slots,
-                                                          const ProbeProcessConfig& cfg);
 
 // Expected probing load: probes per slot (before slot-sharing between
 // overlapping experiments, which only reduces it).
@@ -98,10 +83,10 @@ template <typename MarkFn>
     return sink.take();
 }
 
-// Fully streaming design + scoring: makes the per-slot Bernoulli(p) decision
-// online and emits each experiment's report into `sink` as soon as its last
-// slot's congestion state is known, so no design or report vector is ever
-// materialized — memory is O(1) regardless of run length.
+// Fully streaming design + scoring: makes the per-slot draw online and emits
+// each experiment's report into `sink` as soon as its last slot's congestion
+// state is known, so no design or report vector is ever materialized —
+// memory is O(1) regardless of run length.
 //
 // Feeding step(congested) once per slot, in slot order, with the Rng the
 // batch path would hand to design_probe_process, produces a report stream

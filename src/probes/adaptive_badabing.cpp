@@ -1,7 +1,5 @@
 #include "probes/adaptive_badabing.h"
 
-#include <algorithm>
-
 #include "core/report_sink.h"
 
 namespace bb::probes {
@@ -11,10 +9,14 @@ AdaptiveBadabingTool::AdaptiveBadabingTool(sim::Scheduler& sched,
                                            sim::PacketSink& out, Rng rng)
     : sched_{&sched},
       cfg_{cfg},
-      out_{&out},
+      process_{cfg.p, cfg.improved, cfg.extended_fraction},
       rng_{std::move(rng)},
       rule_{cfg.stopping},
-      next_id_{sim::flow_id_block(0xAD, cfg.flow)} {
+      train_{sched,
+             out,
+             {cfg.flow, cfg.packets_per_probe, cfg.packet_bytes, cfg.intra_probe_gap},
+             sim::flow_id_block(0xAD, cfg.flow)} {
+    core::validate_probe_process(process_);
     sched_->schedule_at(cfg_.start, [this] { slot_tick(); });
     sched_->schedule_at(cfg_.start + cfg_.evaluation_interval, [this] { evaluate(); });
 }
@@ -28,20 +30,17 @@ void AdaptiveBadabingTool::slot_tick() {
         return;
     }
 
-    if (rng_.bernoulli(cfg_.p)) {
-        const bool extended = cfg_.improved && rng_.bernoulli(cfg_.extended_fraction);
-        const core::Experiment e{current_slot_, extended ? core::ExperimentKind::extended
-                                                         : core::ExperimentKind::basic};
+    if (const auto kind = core::draw_experiment_start(rng_, process_)) {
+        const core::Experiment e{current_slot_, *kind};
         experiments_.push_back(e);
         for (int k = 0; k < e.probes(); ++k) {
             const core::SlotIndex slot = current_slot_ + k;
-            if (probe_sent_at_.contains(slot)) continue;  // shared with overlap
-            probe_sent_at_.emplace(slot, cfg_.start + cfg_.slot_width * slot);
+            if (!probe_slots_.empty() && slot <= probe_slots_.back()) continue;  // shared
+            probe_slots_.push_back(slot);
             if (k == 0) {
-                emit_probe(slot);
+                train_.send(slot);
             } else {
-                sched_->schedule_after(cfg_.slot_width * k,
-                                       [this, slot] { emit_probe(slot); });
+                sched_->schedule_after(cfg_.slot_width * k, [this, slot] { train_.send(slot); });
             }
         }
     }
@@ -49,63 +48,21 @@ void AdaptiveBadabingTool::slot_tick() {
     sched_->schedule_after(cfg_.slot_width, [this] { slot_tick(); });
 }
 
-void AdaptiveBadabingTool::emit_probe(core::SlotIndex slot) {
-    ++probes_sent_;
-    for (int k = 0; k < cfg_.packets_per_probe; ++k) {
-        sim::Packet pkt;
-        pkt.id = ++next_id_;
-        pkt.flow = cfg_.flow;
-        pkt.kind = sim::PacketKind::probe;
-        pkt.size_bytes = cfg_.packet_bytes;
-        pkt.seq = slot;
-        pkt.probe_pkt = k;
-        pkt.sent_at = sched_->now();
-        if (k == 0) {
-            out_->accept(pkt);
-        } else {
-            // Parked in the per-replica pool; re-stamped at emission time.
-            const sim::PacketPool::Handle h = sched_->packet_pool().put(pkt);
-            sched_->schedule_after(cfg_.intra_probe_gap * k, [this, h] {
-                sim::Packet p = sched_->packet_pool().take(h);
-                p.sent_at = sched_->now();
-                out_->accept(p);
-            });
-        }
-    }
-}
-
 void AdaptiveBadabingTool::accept(const sim::Packet& pkt) {
-    if (pkt.kind != sim::PacketKind::probe || pkt.flow != cfg_.flow) return;
-    SlotRecord& rec = records_[pkt.seq];
-    ++rec.received;
-    rec.max_owd = std::max(rec.max_owd, sched_->now() - pkt.sent_at);
+    train_.receive(pkt, sched_->now());
 }
 
 core::StateCounts AdaptiveBadabingTool::counts_up_to(TimeNs horizon) const {
-    // Assemble outcomes for probes old enough to have settled.
+    // Assemble outcomes, in slot (= send time) order, for probes old enough
+    // to have settled.
     std::vector<core::ProbeOutcome> outcomes;
-    outcomes.reserve(probe_sent_at_.size());
-    core::SlotIndex last_settled = -1;
-    for (const auto& [slot, sent_at] : probe_sent_at_) {
-        if (sent_at > horizon) continue;
-        core::ProbeOutcome po;
-        po.slot = slot;
-        po.send_time = sent_at;
-        po.packets_sent = cfg_.packets_per_probe;
-        if (const auto it = records_.find(slot); it != records_.end()) {
-            po.packets_lost = cfg_.packets_per_probe - it->second.received;
-            po.max_owd = it->second.max_owd;
-            po.any_received = it->second.received > 0;
-        } else {
-            po.packets_lost = cfg_.packets_per_probe;
-        }
-        outcomes.push_back(po);
-        last_settled = std::max(last_settled, slot);
+    outcomes.reserve(probe_slots_.size());
+    for (const core::SlotIndex slot : probe_slots_) {
+        const TimeNs sent_at = cfg_.start + cfg_.slot_width * slot;
+        if (sent_at > horizon) break;
+        outcomes.push_back(train_.outcome(slot, sent_at));
     }
-    std::sort(outcomes.begin(), outcomes.end(),
-              [](const core::ProbeOutcome& a, const core::ProbeOutcome& b) {
-                  return a.send_time < b.send_time;
-              });
+    const core::SlotIndex last_settled = outcomes.empty() ? -1 : outcomes.back().slot;
 
     std::vector<core::Experiment> complete;
     complete.reserve(experiments_.size());

@@ -8,14 +8,14 @@
 #define BB_PROBES_ADAPTIVE_BADABING_H
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/estimators.h"
 #include "core/marking.h"
+#include "core/probe_process.h"
 #include "core/types.h"
 #include "core/validation.h"
-#include "probes/badabing.h"
+#include "probes/probe_train.h"
 #include "sim/packet.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
@@ -43,6 +43,8 @@ struct AdaptiveBadabingConfig {
 
 class AdaptiveBadabingTool final : public sim::PacketSink {
 public:
+    // Throws std::invalid_argument unless p is in (0, 1] and
+    // extended_fraction in [0, 1] (core::validate_probe_process).
     AdaptiveBadabingTool(sim::Scheduler& sched, const AdaptiveBadabingConfig& cfg,
                          sim::PacketSink& out, Rng rng);
 
@@ -54,7 +56,7 @@ public:
     [[nodiscard]] bool stopped() const noexcept { return stopped_; }
     [[nodiscard]] core::StoppingRule::Decision decision() const noexcept { return decision_; }
     [[nodiscard]] TimeNs stopped_at() const noexcept { return stopped_at_; }
-    [[nodiscard]] std::uint64_t probes_sent() const noexcept { return probes_sent_; }
+    [[nodiscard]] std::uint64_t probes_sent() const noexcept { return train_.probes_sent(); }
     [[nodiscard]] std::size_t experiments_started() const noexcept {
         return experiments_.size();
     }
@@ -66,33 +68,26 @@ public:
 
 private:
     void slot_tick();
-    void emit_probe(core::SlotIndex slot);
     void evaluate();
     [[nodiscard]] core::StateCounts counts_up_to(TimeNs horizon) const;
 
     sim::Scheduler* sched_;
     AdaptiveBadabingConfig cfg_;
-    sim::PacketSink* out_;
+    core::ProbeProcessConfig process_;
     Rng rng_;
     core::StoppingRule rule_;
-    std::uint64_t next_id_;
+    ProbeTrain train_;
 
     core::SlotIndex current_slot_{0};
     std::vector<core::Experiment> experiments_;
-    // Both maps are ordered by slot: counts_up_to() iterates them, and a
-    // hashed walk there would reorder outcome assembly (determinism rule
-    // no-unordered-container, DESIGN.md §14).
-    std::map<core::SlotIndex, TimeNs> probe_sent_at_;  // slot -> send time
-    struct SlotRecord {
-        int received{0};
-        TimeNs max_owd{TimeNs::zero()};
-    };
-    std::map<core::SlotIndex, SlotRecord> records_;
+    // Slots that need a probe, ascending and unique: an experiment's slots
+    // are contiguous and starts only move forward, so a slot shared with an
+    // overlapping experiment is always at or below the last one recorded.
+    std::vector<core::SlotIndex> probe_slots_;
 
     bool stopped_{false};
     core::StoppingRule::Decision decision_{core::StoppingRule::Decision::keep_going};
     TimeNs stopped_at_{TimeNs::zero()};
-    std::uint64_t probes_sent_{0};
 };
 
 }  // namespace bb::probes

@@ -1,7 +1,5 @@
 #include "probes/badabing.h"
 
-#include <algorithm>
-
 #include "core/streaming.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,13 +9,15 @@ namespace bb::probes {
 
 BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
                            sim::PacketSink& out, Rng rng)
-    : sched_{&sched}, cfg_{cfg}, out_{&out}, next_id_{sim::flow_id_block(0xBA, cfg.flow)} {
-    core::ProbeProcessConfig pcfg;
-    pcfg.p = cfg_.p;
-    pcfg.improved = cfg_.improved;
-    pcfg.extended_fraction = cfg_.extended_fraction;
-    design_ = core::design_probe_process(rng, cfg_.total_slots, pcfg);
-
+    : sched_{&sched},
+      cfg_{cfg},
+      design_{core::design_probe_process(
+          rng, cfg.total_slots, {cfg.p, cfg.improved, cfg.extended_fraction})},
+      train_{sched,
+             out,
+             {cfg.flow, cfg.packets_per_probe, cfg.packet_bytes, cfg.intra_probe_gap,
+              cfg.ecn_probes},
+             sim::flow_id_block(0xBA, cfg.flow)} {
     for (const core::SlotIndex slot : design_.probe_slots) {
         const TimeNs at = cfg_.start + cfg_.slot_width * slot;
         sched_->schedule_at(at, [this, slot] { emit_probe(slot); });
@@ -25,69 +25,26 @@ BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
 }
 
 void BadabingTool::emit_probe(core::SlotIndex slot) {
-    ++probes_sent_;
     // bb-det: allow(no-mutable-static) — obs registry cache, telemetry only
     static obs::Counter& sent_ctr = obs::counter("probes.badabing.probes_sent");
     sent_ctr.inc();
-    for (int k = 0; k < cfg_.packets_per_probe; ++k) {
-        sim::Packet pkt;
-        pkt.id = ++next_id_;
-        pkt.flow = cfg_.flow;
-        pkt.kind = sim::PacketKind::probe;
-        pkt.size_bytes = cfg_.packet_bytes;
-        pkt.seq = slot;
-        pkt.probe_pkt = k;
-        pkt.sent_at = sched_->now();
-        pkt.ecn_ect = cfg_.ecn_probes;
-        ++packets_sent_;
-        bytes_sent_ += cfg_.packet_bytes;
-        // Back-to-back emission: successive packets leave `intra_probe_gap`
-        // apart, per the capabilities of the paper's hosts (~30 us).
-        if (k == 0) {
-            out_->accept(pkt);
-        } else {
-            // Parked in the per-replica pool; re-stamped at emission time.
-            const sim::PacketPool::Handle h = sched_->packet_pool().put(pkt);
-            sched_->schedule_after(cfg_.intra_probe_gap * k, [this, h] {
-                sim::Packet p = sched_->packet_pool().take(h);
-                p.sent_at = sched_->now();
-                out_->accept(p);
-            });
-        }
-    }
+    train_.send(slot);
 }
 
 void BadabingTool::accept(const sim::Packet& pkt) {
-    if (pkt.kind != sim::PacketKind::probe || pkt.flow != cfg_.flow) return;
+    // The receiver's clock runs `receiver_clock_offset` ahead of the
+    // sender's and drifts by `receiver_clock_skew_ppm` of elapsed time.
+    const TimeNs skew =
+        seconds(sched_->now().to_seconds() * cfg_.receiver_clock_skew_ppm * 1e-6);
+    if (!train_.receive(pkt, sched_->now() + cfg_.receiver_clock_offset + skew)) return;
     // bb-det: allow(no-mutable-static) — obs registry cache, telemetry only
     static obs::Counter& recv_ctr = obs::counter("probes.badabing.packets_received");
     recv_ctr.inc();
-    ++packets_received_;
-    SlotRecord& rec = records_[pkt.seq];
-    ++rec.received;
-    if (pkt.ecn_ce) rec.ce = true;
-    const TimeNs skew =
-        seconds(sched_->now().to_seconds() * cfg_.receiver_clock_skew_ppm * 1e-6);
-    const TimeNs owd = sched_->now() + cfg_.receiver_clock_offset + skew - pkt.sent_at;
-    rec.max_owd = std::max(rec.max_owd, owd);
 }
 
 void BadabingTool::stream_outcomes(core::OutcomeSink& sink) const {
     for (const core::SlotIndex slot : design_.probe_slots) {
-        core::ProbeOutcome po;
-        po.slot = slot;
-        po.send_time = cfg_.start + cfg_.slot_width * slot;
-        po.packets_sent = cfg_.packets_per_probe;
-        if (auto it = records_.find(slot); it != records_.end()) {
-            po.packets_lost = cfg_.packets_per_probe - it->second.received;
-            po.max_owd = it->second.max_owd;
-            po.any_received = it->second.received > 0;
-            po.ce_marked = it->second.ce;
-        } else {
-            po.packets_lost = cfg_.packets_per_probe;
-            po.any_received = false;
-        }
-        sink.consume(po);
+        sink.consume(train_.outcome(slot, cfg_.start + cfg_.slot_width * slot));
     }
 }
 
@@ -130,9 +87,9 @@ BadabingResult BadabingTool::analyze(const core::MarkingConfig& marking,
     res.duration_improved = summary.duration_improved;
     res.validation = summary.validation;
 
-    res.probes_sent = probes_sent_;
-    res.packets_sent = packets_sent_;
-    res.bytes_sent = bytes_sent_;
+    res.probes_sent = train_.probes_sent();
+    res.packets_sent = train_.packets_sent();
+    res.bytes_sent = train_.bytes_sent();
     res.experiments = design_.experiments.size();
     for (const core::ProbeOutcome& po : probe_outcomes) {
         res.packets_lost += static_cast<std::uint64_t>(po.packets_lost);
@@ -144,70 +101,42 @@ double BadabingTool::offered_load_fraction(std::int64_t link_rate_bps) const noe
     const TimeNs span = cfg_.slot_width * cfg_.total_slots;
     const double link_bytes =
         static_cast<double>(link_rate_bps) / 8.0 * span.to_seconds();
-    return link_bytes > 0 ? static_cast<double>(bytes_sent_) / link_bytes : 0.0;
+    return link_bytes > 0 ? static_cast<double>(train_.bytes_sent()) / link_bytes : 0.0;
 }
 
 // --- FixedIntervalProber ----------------------------------------------------
 
 FixedIntervalProber::FixedIntervalProber(sim::Scheduler& sched, const Config& cfg,
                                          sim::PacketSink& out)
-    : sched_{&sched}, cfg_{cfg}, out_{&out}, next_id_{sim::flow_id_block(0xB1, cfg.flow)} {
+    : sched_{&sched},
+      cfg_{cfg},
+      train_{sched,
+             out,
+             {cfg.flow, cfg.packets_per_probe, cfg.packet_bytes, cfg.intra_probe_gap},
+             sim::flow_id_block(0xB1, cfg.flow)} {
     sched_->schedule_at(cfg_.start, [this] { emit(); });
 }
 
 void FixedIntervalProber::emit() {
     if (sched_->now() >= cfg_.stop) return;
-    const auto probe_index = static_cast<std::int64_t>(send_times_.size());
-    send_times_.push_back(sched_->now());
-    received_.push_back(0);
-    max_owd_.push_back(TimeNs::zero());
-    for (int k = 0; k < cfg_.packets_per_probe; ++k) {
-        sim::Packet pkt;
-        pkt.id = ++next_id_;
-        pkt.flow = cfg_.flow;
-        pkt.kind = sim::PacketKind::probe;
-        pkt.size_bytes = cfg_.packet_bytes;
-        pkt.seq = probe_index;
-        pkt.probe_pkt = k;
-        pkt.sent_at = sched_->now();
-        if (k == 0) {
-            out_->accept(pkt);
-        } else {
-            const sim::PacketPool::Handle h = sched_->packet_pool().put(pkt);
-            sched_->schedule_after(cfg_.intra_probe_gap * k, [this, h] {
-                sim::Packet p = sched_->packet_pool().take(h);
-                p.sent_at = sched_->now();
-                out_->accept(p);
-            });
-        }
-    }
+    train_.send(static_cast<std::int64_t>(train_.probes_sent()));
     sched_->schedule_after(cfg_.interval, [this] { emit(); });
 }
 
 void FixedIntervalProber::accept(const sim::Packet& pkt) {
-    if (pkt.kind != sim::PacketKind::probe || pkt.flow != cfg_.flow) return;
-    const auto idx = static_cast<std::size_t>(pkt.seq);
-    if (idx >= send_times_.size()) return;
-    ++received_[idx];
-    max_owd_[idx] = std::max(max_owd_[idx], sched_->now() - pkt.sent_at);
+    train_.receive(pkt, sched_->now());
 }
 
 void FixedIntervalProber::stream_outcomes(core::OutcomeSink& sink) const {
-    for (std::size_t i = 0; i < send_times_.size(); ++i) {
-        core::ProbeOutcome po;
-        po.slot = static_cast<core::SlotIndex>(i);
-        po.send_time = send_times_[i];
-        po.packets_sent = cfg_.packets_per_probe;
-        po.packets_lost = cfg_.packets_per_probe - received_[i];
-        po.max_owd = max_owd_[i];
-        po.any_received = received_[i] > 0;
-        sink.consume(po);
+    const auto probes = static_cast<std::int64_t>(train_.probes_sent());
+    for (std::int64_t i = 0; i < probes; ++i) {
+        sink.consume(train_.outcome(i, cfg_.start + cfg_.interval * i));
     }
 }
 
 std::vector<core::ProbeOutcome> FixedIntervalProber::outcomes() const {
     core::VectorSink<core::ProbeOutcome> sink;
-    sink.reserve(send_times_.size());
+    sink.reserve(train_.probes_sent());
     stream_outcomes(sink);
     return sink.take();
 }

@@ -2,16 +2,16 @@
 //
 // The sender realizes the §5 probe process: time is divided into slots of
 // `slot_width`; a pre-drawn design decides at which slots experiments start;
-// each probed slot gets one probe of `packets_per_probe` back-to-back
-// packets.  The receiver records per-probe loss and one-way delay; at the
-// end of the run, outcomes are marked congested/uncongested with the tau /
-// alpha rule (core::CongestionMarker), experiments are scored, and both the
-// basic and improved estimators plus the validation report are produced.
+// each probed slot gets one probe train (probes/probe_train.h) of
+// `packets_per_probe` back-to-back packets, whose receive record keeps
+// per-probe loss and one-way delay.  At the end of the run, outcomes are
+// marked congested/uncongested with the tau / alpha rule
+// (core::CongestionMarker), experiments are scored, and both the basic and
+// improved estimators plus the validation report are produced.
 #ifndef BB_PROBES_BADABING_H
 #define BB_PROBES_BADABING_H
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/estimators.h"
@@ -20,6 +20,7 @@
 #include "core/report_sink.h"
 #include "core/types.h"
 #include "core/validation.h"
+#include "probes/probe_train.h"
 #include "sim/packet.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
@@ -98,43 +99,28 @@ public:
     void emit_reports(const core::MarkingConfig& marking, core::ReportSink& sink) const;
 
     [[nodiscard]] const core::ProbeDesign& design() const noexcept { return design_; }
-    [[nodiscard]] std::int64_t bytes_sent() const noexcept { return bytes_sent_; }
+    [[nodiscard]] std::int64_t bytes_sent() const noexcept { return train_.bytes_sent(); }
     [[nodiscard]] TimeNs slot_width() const noexcept { return cfg_.slot_width; }
 
     // Live tallies (readable mid-run; the sim-time recorder samples these).
-    [[nodiscard]] std::uint64_t probes_sent() const noexcept { return probes_sent_; }
-    [[nodiscard]] std::uint64_t packets_sent() const noexcept { return packets_sent_; }
+    [[nodiscard]] std::uint64_t probes_sent() const noexcept { return train_.probes_sent(); }
+    [[nodiscard]] std::uint64_t packets_sent() const noexcept { return train_.packets_sent(); }
     [[nodiscard]] std::uint64_t packets_received() const noexcept {
-        return packets_received_;
+        return train_.packets_received();
     }
 
     // Offered probe load as a fraction of `link_rate_bps` over the run.
     [[nodiscard]] double offered_load_fraction(std::int64_t link_rate_bps) const noexcept;
 
 private:
-    struct SlotRecord {
-        int received{0};
-        TimeNs max_owd{TimeNs::zero()};
-        bool ce{false};
-    };
-
     void emit_probe(core::SlotIndex slot);
     void score_outcomes(const std::vector<core::ProbeOutcome>& probe_outcomes,
                         const core::MarkingConfig& marking, core::ReportSink& sink) const;
 
     sim::Scheduler* sched_;
     BadabingConfig cfg_;
-    sim::PacketSink* out_;
     core::ProbeDesign design_;
-    std::uint64_t next_id_;
-
-    // Ordered by slot so outcome assembly walks slots in probe order
-    // (determinism rule no-unordered-container, DESIGN.md §14).
-    std::map<core::SlotIndex, SlotRecord> records_;
-    std::uint64_t probes_sent_{0};
-    std::uint64_t packets_sent_{0};
-    std::uint64_t packets_received_{0};
-    std::int64_t bytes_sent_{0};
+    ProbeTrain train_;
 };
 
 // Fixed-interval prober used for the probe-length calibration experiments
@@ -167,12 +153,7 @@ private:
 
     sim::Scheduler* sched_;
     Config cfg_;
-    sim::PacketSink* out_;
-    std::uint64_t next_id_;
-
-    std::vector<TimeNs> send_times_;
-    std::vector<int> received_;
-    std::vector<TimeNs> max_owd_;
+    ProbeTrain train_;  // probe i is filed under key i, sent at start + i * interval
 };
 
 }  // namespace bb::probes

@@ -38,8 +38,7 @@ public:
     ExperimentRecorder& operator=(const ExperimentRecorder&) = delete;
 
     // Final sample at the post-drain clock plus episode.start/episode.end
-    // annotations from the experiment's ground truth (skipped when the
-    // bounded-memory truth path dropped the raw episode record).  Idempotent.
+    // annotations from the experiment's ground truth.  Idempotent.
     void finish();
 
     [[nodiscard]] obs::Recorder& recorder() noexcept { return *rec_; }

@@ -357,7 +357,6 @@ void parse_traffic(Ctx& ctx, Section& top, ScenarioSpec& spec) {
 void parse_probe(Ctx& ctx, Section& top, ScenarioSpec& spec) {
     Section probe{ctx, top.get("probe"), "probe", top.line()};
     probe.one_of("tool", spec.tool, tool_vocab());
-    probe.boolean("streaming", spec.streaming);
 
     Section bb_sec{ctx, probe.get("badabing"), "probe.badabing", probe.line()};
     probes::BadabingConfig& bc = spec.badabing;
@@ -414,12 +413,7 @@ void parse_truth(Ctx& ctx, Section& top, ScenarioSpec& spec) {
     truth.time_ms("episode_gap_ms", spec.truth.episode_gap, /*min_exclusive=*/true);
     truth.boolean("delay_based", spec.truth.delay_based);
     truth.time_ms("delay_floor_ms", spec.truth.delay_floor);
-    truth.boolean("bounded_memory", spec.truth.bounded_memory);
     truth.finish();
-    if (ctx.ok() && spec.truth.delay_based && spec.truth.bounded_memory) {
-        ctx.fail(truth.line(), "truth.bounded_memory",
-                 "incompatible with truth.delay_based (the heuristic needs the full record)");
-    }
 }
 
 void parse_analysis(Ctx& ctx, Section& top, ScenarioSpec& spec) {

@@ -3,7 +3,7 @@
 // A ScenarioSpec is the parsed, validated, defaulted form of a JSON spec
 // file covering all layers of one experiment: topology + link (rate, delay,
 // buffer, queue discipline, ECN, Gilbert-Elliott), traffic mix, probe
-// configuration (badabing / zing / sting, streaming on/off), truth knobs,
+// configuration (badabing / zing / sting), truth knobs,
 // marking overrides, and run controls (replicas / threads / seed).  The
 // factories at the bottom turn a spec into the same Testbed / Experiment
 // objects the hand-wired scenarios build — the golden suites pin that the
@@ -43,9 +43,6 @@ struct ScenarioSpec {
     probes::BadabingConfig badabing;
     probes::ZingProber::Config zing;
     probes::StingProber::Config sting;
-    // Streaming analysis path (bounded-memory truth + O(1) report consumers),
-    // as exposed by the tools' --stream flag.
-    bool streaming{false};
 
     // Marking overrides; unset means the paper's per-p defaults
     // (tau_for_probe_rate / alpha_for_probe_rate via Experiment).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "scenarios/experiment.h"
 #include "scenarios/testbed.h"
 #include "scenarios/workload.h"
@@ -94,6 +96,22 @@ TEST(AdaptiveBadabing, ExperimentRateMatchesP) {
     tb.sched().run_until(seconds_i(102));
     const double slots = 100.0 / 0.005;
     EXPECT_NEAR(static_cast<double>(tool.experiments_started()) / slots, 0.25, 0.02);
+}
+
+TEST(AdaptiveBadabing, RejectsBadProbeProcess) {
+    scenarios::Testbed tb{testbed_cfg()};
+    const auto make = [&tb](const probes::AdaptiveBadabingConfig& cfg) {
+        probes::AdaptiveBadabingTool tool{tb.sched(), cfg, tb.forward_in(), Rng{7}};
+    };
+    auto cfg = adaptive_cfg();
+    cfg.p = 0.0;  // would never probe
+    EXPECT_THROW(make(cfg), std::invalid_argument);
+    cfg.p = 1.5;  // would silently behave as p = 1
+    EXPECT_THROW(make(cfg), std::invalid_argument);
+    cfg = adaptive_cfg();
+    cfg.extended_fraction = 2.0;
+    EXPECT_THROW(make(cfg), std::invalid_argument);
+    EXPECT_NO_THROW(make(adaptive_cfg()));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
@@ -106,161 +105,87 @@ TEST(ProbeProcess, ExpectedLoadFormula) {
     EXPECT_DOUBLE_EQ(expected_probe_slot_fraction(cfg), 0.3 * 2.5);
 }
 
-// --- Skip-ahead designer: must match the per-slot designer in distribution
-// (not draw-for-draw) while honoring every structural invariant. ---
+// --- The one per-slot draw every probe process makes. ---
 
-std::vector<SlotIndex> start_gaps(const ProbeDesign& d) {
-    std::vector<SlotIndex> gaps;
-    for (std::size_t i = 1; i < d.experiments.size(); ++i) {
-        gaps.push_back(d.experiments[i].start_slot - d.experiments[i - 1].start_slot);
-    }
-    return gaps;
-}
-
-TEST(SkipAhead, RejectsBadParameters) {
-    Rng rng{1};
+TEST(ProbeProcessValidate, AcceptsTheClosedEndsAndRejectsTheRest) {
     ProbeProcessConfig cfg;
+    cfg.p = 1.0;
+    cfg.extended_fraction = 0.0;
+    EXPECT_NO_THROW(validate_probe_process(cfg));
+    cfg.extended_fraction = 1.0;
+    EXPECT_NO_THROW(validate_probe_process(cfg));
     cfg.p = 0.0;
-    EXPECT_THROW(design_probe_process_skip_ahead(rng, 100, cfg), std::invalid_argument);
-    cfg.p = 1.5;
-    EXPECT_THROW(design_probe_process_skip_ahead(rng, 100, cfg), std::invalid_argument);
+    EXPECT_THROW(validate_probe_process(cfg), std::invalid_argument);
+    cfg.p = -0.2;
+    EXPECT_THROW(validate_probe_process(cfg), std::invalid_argument);
+    cfg.p = 1.0 + 1e-12;
+    EXPECT_THROW(validate_probe_process(cfg), std::invalid_argument);
     cfg.p = 0.5;
-    cfg.extended_fraction = -0.1;
-    EXPECT_THROW(design_probe_process_skip_ahead(rng, 100, cfg), std::invalid_argument);
+    cfg.extended_fraction = 1.5;
+    EXPECT_THROW(validate_probe_process(cfg), std::invalid_argument);
 }
 
-TEST(SkipAhead, ExperimentRateMatchesP) {
-    Rng rng{21};
+TEST(DrawExperimentStart, DesignerIsOneDrawPerSlot) {
+    // design_probe_process is exactly draw_experiment_start at each slot,
+    // minus the experiments that would run past the window.
     ProbeProcessConfig cfg;
-    cfg.p = 0.3;
-    const auto d = design_probe_process_skip_ahead(rng, 100'000, cfg);
-    EXPECT_NEAR(static_cast<double>(d.experiments.size()) / 100'000.0, 0.3, 0.01);
-}
-
-TEST(SkipAhead, GapSamplerMeanMatchesGeometric) {
-    // E[G] for the number of failures before a success is (1-p)/p.
-    for (const double p : {0.1, 0.3, 0.9}) {
-        Rng rng{31};
-        GeometricSkipAhead gaps{p};
-        double sum = 0.0;
-        constexpr int kDraws = 200'000;
-        for (int i = 0; i < kDraws; ++i) {
-            sum += static_cast<double>(gaps.next_gap(rng));
-        }
-        const double expected = (1.0 - p) / p;
-        EXPECT_NEAR(sum / kDraws, expected, 0.05 * (expected + 0.1)) << "p=" << p;
-    }
-}
-
-TEST(SkipAhead, GapSamplerAtFullRateIsAlwaysZero) {
-    Rng rng{32};
-    GeometricSkipAhead gaps{1.0};
-    for (int i = 0; i < 1'000; ++i) {
-        EXPECT_EQ(gaps.next_gap(rng), 0);
-    }
-}
-
-TEST(SkipAhead, GapDistributionMatchesPerSlotDesigner) {
-    // Property test of distributional identity: the empirical pmf of
-    // consecutive-start gaps must agree between the per-slot Bernoulli
-    // designer and the skip-ahead designer.  (Gaps between retained starts,
-    // so this also exercises the shared window rule.)
-    ProbeProcessConfig cfg;
-    cfg.p = 0.2;
-    constexpr SlotIndex kSlots = 400'000;
-    Rng rng_a{41};
-    Rng rng_b{42};
-    const auto gaps_a = start_gaps(design_probe_process(rng_a, kSlots, cfg));
-    const auto gaps_b = start_gaps(design_probe_process_skip_ahead(rng_b, kSlots, cfg));
-    ASSERT_GT(gaps_a.size(), 10'000u);
-    ASSERT_GT(gaps_b.size(), 10'000u);
-    constexpr SlotIndex kMaxGap = 25;
-    std::vector<double> pmf_a(kMaxGap + 1, 0.0);
-    std::vector<double> pmf_b(kMaxGap + 1, 0.0);
-    for (const auto g : gaps_a) pmf_a[std::min(g, kMaxGap)] += 1.0 / static_cast<double>(gaps_a.size());
-    for (const auto g : gaps_b) pmf_b[std::min(g, kMaxGap)] += 1.0 / static_cast<double>(gaps_b.size());
-    for (SlotIndex g = 0; g <= kMaxGap; ++g) {
-        EXPECT_NEAR(pmf_a[g], pmf_b[g], 0.01) << "gap " << g;
-        // And both match the geometric law P(gap = g) = p (1-p)^(g-1), g >= 1.
-        if (g >= 1 && g < kMaxGap) {
-            const double expected = cfg.p * std::pow(1.0 - cfg.p, g - 1);
-            EXPECT_NEAR(pmf_a[g], expected, 0.01) << "gap " << g;
-            EXPECT_NEAR(pmf_b[g], expected, 0.01) << "gap " << g;
-        }
-    }
-}
-
-TEST(SkipAhead, ImprovedDesignMixesKindsEvenly) {
-    Rng rng{43};
-    ProbeProcessConfig cfg;
-    cfg.p = 0.5;
+    cfg.p = 0.35;
     cfg.improved = true;
-    const auto d = design_probe_process_skip_ahead(rng, 100'000, cfg);
-    const auto extended =
-        std::count_if(d.experiments.begin(), d.experiments.end(), [](const Experiment& e) {
-            return e.kind == ExperimentKind::extended;
-        });
-    EXPECT_NEAR(static_cast<double>(extended) / static_cast<double>(d.experiments.size()), 0.5,
-                0.02);
-}
-
-TEST(SkipAhead, ProbeSlotsAreSortedUniqueAndCoverExperiments) {
-    Rng rng{44};
-    ProbeProcessConfig cfg;
-    cfg.p = 0.7;
-    cfg.improved = true;
-    const auto d = design_probe_process_skip_ahead(rng, 5'000, cfg);
-    EXPECT_TRUE(std::is_sorted(d.probe_slots.begin(), d.probe_slots.end()));
-    EXPECT_EQ(std::adjacent_find(d.probe_slots.begin(), d.probe_slots.end()),
-              d.probe_slots.end());
-    std::unordered_set<SlotIndex> slots(d.probe_slots.begin(), d.probe_slots.end());
-    for (const auto& e : d.experiments) {
-        for (int k = 0; k < e.probes(); ++k) {
-            EXPECT_TRUE(slots.count(e.start_slot + k)) << "slot " << e.start_slot + k;
+    constexpr SlotIndex n = 5'000;
+    Rng design_rng{17};
+    Rng draw_rng{17};
+    const auto d = design_probe_process(design_rng, n, cfg);
+    std::vector<Experiment> drawn;
+    for (SlotIndex i = 0; i < n; ++i) {
+        if (const auto kind = draw_experiment_start(draw_rng, cfg)) {
+            const Experiment e{i, *kind};
+            if (i + e.probes() <= n) drawn.push_back(e);
         }
     }
-    EXPECT_TRUE(std::is_sorted(d.experiments.begin(), d.experiments.end(),
-                               [](const Experiment& a, const Experiment& b) {
-                                   return a.start_slot < b.start_slot;
-                               }));
+    ASSERT_EQ(d.experiments.size(), drawn.size());
+    for (std::size_t i = 0; i < drawn.size(); ++i) {
+        EXPECT_EQ(d.experiments[i].start_slot, drawn[i].start_slot);
+        EXPECT_EQ(d.experiments[i].kind, drawn[i].kind);
+    }
+    // Both consumed the same number of draws.
+    EXPECT_EQ(design_rng.next_u64(), draw_rng.next_u64());
 }
 
-TEST(SkipAhead, ExperimentsStayInsideWindow) {
-    Rng rng{45};
+TEST(DrawExperimentStart, ExtendedCoinIsTossedOnlyOnAnImprovedStart) {
+    // A miss, or a basic-design start, consumes one uniform; an improved
+    // start consumes a second one for the basic-vs-extended coin.
+    for (const bool improved : {false, true}) {
+        ProbeProcessConfig cfg;
+        cfg.p = 0.5;
+        cfg.improved = improved;
+        Rng rng{29};
+        Rng mirror{29};
+        for (int slot = 0; slot < 2'000; ++slot) {
+            const bool starts = mirror.bernoulli(cfg.p);
+            bool extended = false;
+            if (starts && improved) extended = mirror.bernoulli(cfg.extended_fraction);
+            const auto kind = draw_experiment_start(rng, cfg);
+            ASSERT_EQ(kind.has_value(), starts) << "slot " << slot;
+            if (kind) {
+                EXPECT_EQ(*kind, extended ? ExperimentKind::extended : ExperimentKind::basic);
+            }
+        }
+        EXPECT_EQ(rng.next_u64(), mirror.next_u64());
+    }
+}
+
+TEST(DrawExperimentStart, ExtendedFractionEndsFixTheKind) {
     ProbeProcessConfig cfg;
     cfg.p = 1.0;
     cfg.improved = true;
-    const SlotIndex n = 100;
-    const auto d = design_probe_process_skip_ahead(rng, n, cfg);
-    for (const auto& e : d.experiments) {
-        EXPECT_LE(e.start_slot + e.probes(), n);
+    Rng rng{31};
+    cfg.extended_fraction = 0.0;
+    for (int i = 0; i < 500; ++i) {
+        EXPECT_EQ(draw_experiment_start(rng, cfg), ExperimentKind::basic);
     }
-    EXPECT_FALSE(d.probe_slots.empty());
-    EXPECT_LT(d.probe_slots.back(), n);
-}
-
-TEST(SkipAhead, FullRateProbesEverySlot) {
-    Rng rng{46};
-    ProbeProcessConfig cfg;
-    cfg.p = 1.0;
-    const SlotIndex n = 50;
-    const auto d = design_probe_process_skip_ahead(rng, n, cfg);
-    EXPECT_EQ(static_cast<SlotIndex>(d.probe_slots.size()), n);
-    EXPECT_EQ(d.experiments.size(), static_cast<std::size_t>(n - 1));
-}
-
-TEST(SkipAhead, DeterministicGivenSeed) {
-    ProbeProcessConfig cfg;
-    cfg.p = 0.4;
-    cfg.improved = true;
-    Rng rng1{47};
-    Rng rng2{47};
-    const auto d1 = design_probe_process_skip_ahead(rng1, 10'000, cfg);
-    const auto d2 = design_probe_process_skip_ahead(rng2, 10'000, cfg);
-    ASSERT_EQ(d1.experiments.size(), d2.experiments.size());
-    for (std::size_t i = 0; i < d1.experiments.size(); ++i) {
-        EXPECT_EQ(d1.experiments[i].start_slot, d2.experiments[i].start_slot);
-        EXPECT_EQ(d1.experiments[i].kind, d2.experiments[i].kind);
+    cfg.extended_fraction = 1.0;
+    for (int i = 0; i < 500; ++i) {
+        EXPECT_EQ(draw_experiment_start(rng, cfg), ExperimentKind::extended);
     }
 }
 

@@ -154,11 +154,6 @@ TEST(SpecErrors, DurationsThatOverflowNanosecondsAreRefused) {
     expect_error(R"({"analysis": {"tau_ms": -5}})", "analysis.tau_ms: must be a non-negative");
 }
 
-TEST(SpecErrors, TruthKnobConflict) {
-    expect_error(R"({"truth": {"delay_based": true, "bounded_memory": true}})",
-                 "incompatible with truth.delay_based");
-}
-
 TEST(SpecErrors, Figure3SectionRequiresFigure3Topology) {
     expect_error(R"({"figure3": {"oc12_factor": 4}})",
                  "requires \"topology\": \"figure3\"");

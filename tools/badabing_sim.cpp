@@ -300,7 +300,6 @@ int main(int argc, char** argv) {
     overlay.add("threads", "run.threads", JsonValue::of_int(*threads));
     overlay.add("p", "probe.badabing.p", JsonValue::of_number(*p));
     overlay.add("improved", "probe.badabing.improved", JsonValue::of_bool(*improved));
-    overlay.add("stream", "probe.streaming", JsonValue::of_bool(*stream));
     // -1 keeps the paper's per-p rule (or the spec's analysis section).
     if (*alpha >= 0.0) overlay.add("alpha", "analysis.alpha", JsonValue::of_number(*alpha));
     if (*tau_ms >= 0) overlay.add("tau-ms", "analysis.tau_ms", JsonValue::of_int(*tau_ms));
@@ -310,10 +309,10 @@ int main(int argc, char** argv) {
     // A spec run is labelled by the spec's name unless --scenario overrides it.
     const std::string& label =
         spec_path->empty() || flags.is_set("scenario") ? *scenario : spec->name;
-    const bool replica_mode = !spec->streaming && (spec->replicas > 1 || !json->empty());
+    const bool replica_mode = !*stream && (spec->replicas > 1 || !json->empty());
     if (!outputs.start(/*hash_this_thread=*/!replica_mode)) return 1;
 
-    if (spec->streaming) {
+    if (*stream) {
         // The recorder samples the event-driven simulator's clock; the
         // streaming pipeline is slot-indexed with no simulated clock to drive
         // it, so the flag does not apply there.
