@@ -9,7 +9,7 @@
 #   BB_CI_SKIP_OBS=1 scripts/ci.sh    # skip the observability stage
 #   BB_CI_SKIP_SWEEP=1 scripts/ci.sh  # skip the sweep cache stage
 #   BB_CI_SKIP_DETERMINISM=1 scripts/ci.sh  # skip the cross-thread digest stage
-#   BB_SKIP_BENCH=1 scripts/ci.sh     # skip the perf-regression stage
+#   BB_SKIP_BENCH=1 scripts/ci.sh     # skip the perf-regression and perfbench stages
 #
 # Each stage uses its own build directory (build, build-ubsan, build-audit,
 # build-asan, build-tsan) so sanitizer/contract flags never leak into the
@@ -105,6 +105,28 @@ fi
 if [[ "${BB_SKIP_BENCH:-0}" != 1 ]]; then
   echo "==> bench: perf-regression smoke (BB_BENCH_FAST=1 scripts/bench.sh --compare)"
   BB_BENCH_FAST=1 scripts/bench.sh --compare
+
+  # The end-to-end benchmark builds in the tree perfbench/run.py uses, so its
+  # own build step finds e2e_bench up to date.
+  echo "==> bench: perfbench Release build + stepped_run_test + one-second run of every workload"
+  pb_build="${CARGO_TARGET_DIR:-.bench_build}/perfbench"
+  cmake -S perfbench -B "$pb_build" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$pb_build" -j "$JOBS"
+  ctest --test-dir "$pb_build" --output-on-failure --no-tests=error -R '^stepped_run_test$'
+  pb_log=$(mktemp)
+  trap 'rm -f "$pb_log"' EXIT
+  python3 perfbench/run.py --workload all --seconds 1 | tee "$pb_log"
+  tail -n 1 "$pb_log" | python3 -c '
+import json, sys
+results = json.loads(sys.stdin.read())
+if not results:
+    sys.exit("ci: perfbench reported no workload")
+bad = {name: r.get("failed") for name, r in results.items() if r.get("failed") != 0}
+if bad:
+    sys.exit(f"ci: perfbench workloads failed: {bad}")
+print(f"    perfbench: {len(results)} workloads, failed == 0 on each")
+'
+  rm -f "$pb_log"
 fi
 
 tidy_status="skipped (BB_CI_SKIP_ANALYSIS=1)"

@@ -108,14 +108,52 @@ std::vector<SlotMark> CongestionMarker::mark(const std::vector<ProbeOutcome>& pr
 }
 
 MarkScorer::MarkScorer(const std::vector<SlotMark>& marks, ReportSink& out) : out_{&out} {
-    for (const auto& m : marks) congested_[m.slot] = m.congested;
+    marks_.reserve(marks.size());
+    for (const SlotMark& m : marks) marks_.emplace_back(m.slot, m.congested);
+    const auto by_slot = [](const Mark& a, const Mark& b) { return a.first < b.first; };
+    if (!std::is_sorted(marks_.begin(), marks_.end(), by_slot)) {
+        // Stable, so a slot's marks keep their input order for the last to win.
+        std::stable_sort(marks_.begin(), marks_.end(), by_slot);
+    }
+    std::size_t kept = 0;
+    for (const Mark& m : marks_) {
+        if (kept > 0 && marks_[kept - 1].first == m.first) {
+            marks_[kept - 1].second = m.second;
+        } else {
+            marks_[kept++] = m;
+        }
+    }
+    marks_.resize(kept);
+}
+
+bool MarkScorer::congested(SlotIndex slot) {
+    // Overlapping experiments step back at most two slots and the next
+    // experiment starts a few slots on, so a handful of steps reaches the
+    // first mark at or after `slot`.
+    constexpr int kNearSteps = 4;
+    std::size_t i = cursor_;
+    int steps = 0;
+    for (; steps < kNearSteps; ++steps) {
+        if (i > 0 && marks_[i - 1].first >= slot) {
+            --i;
+        } else if (i < marks_.size() && marks_[i].first < slot) {
+            ++i;
+        } else {
+            break;
+        }
+    }
+    if (steps == kNearSteps) {
+        i = static_cast<std::size_t>(
+            std::lower_bound(marks_.begin(), marks_.end(), slot,
+                             [](const Mark& m, SlotIndex s) { return m.first < s; }) -
+            marks_.begin());
+    }
+    cursor_ = i;
+    return i < marks_.size() && marks_[i].first == slot && marks_[i].second;
 }
 
 void MarkScorer::consume(const Experiment& e) {
-    out_->consume(score_experiment(e, [this](SlotIndex s) {
-        const auto it = congested_.find(s);
-        return it != congested_.end() && it->second;
-    }));
+    out_->consume(score_experiment(e, [this](SlotIndex s) { return congested(s); }));
 }
 
 void score_marks_into(const std::vector<Experiment>& experiments,

@@ -18,7 +18,7 @@
 
 #include <cstddef>
 #include <deque>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/report_sink.h"
@@ -74,6 +74,11 @@ private:
 // (possible in external traces) takes its last mark.  As a Sink<Experiment>
 // it scores a design streamed record by record; score_marks_into() covers a
 // design held in memory.
+//
+// The marks are held as one slot-sorted array (sorted here only when the
+// input is not already in slot order).  Experiments of a design arrive in
+// start order, so each lookup steps a cursor a few marks from the previous
+// one; a far jump (an external design in arbitrary order) binary-searches.
 class MarkScorer final : public Sink<Experiment> {
 public:
     MarkScorer(const std::vector<SlotMark>& marks, ReportSink& out);
@@ -81,8 +86,14 @@ public:
     void consume(const Experiment& e) override;
 
 private:
-    // Ordered by slot (determinism rule no-unordered-container, DESIGN.md §14).
-    std::map<SlotIndex, bool> congested_;
+    using Mark = std::pair<SlotIndex, bool>;  // slot, congested
+
+    [[nodiscard]] bool congested(SlotIndex slot);
+
+    // Sorted by slot, one entry per slot; a flat array keeps the walk in
+    // slot order (determinism rule no-unordered-container, DESIGN.md §14).
+    std::vector<Mark> marks_;
+    std::size_t cursor_{0};  // first mark at or after the last slot looked up
     ReportSink* out_;
 };
 

@@ -57,10 +57,11 @@ core::StateCounts AdaptiveBadabingTool::counts_up_to(TimeNs horizon) const {
     // to have settled.
     std::vector<core::ProbeOutcome> outcomes;
     outcomes.reserve(probe_slots_.size());
+    ProbeTrain::OutcomeWalk walk = train_.walk();
     for (const core::SlotIndex slot : probe_slots_) {
         const TimeNs sent_at = cfg_.start + cfg_.slot_width * slot;
         if (sent_at > horizon) break;
-        outcomes.push_back(train_.outcome(slot, sent_at));
+        outcomes.push_back(walk.next(slot, sent_at));
     }
     const core::SlotIndex last_settled = outcomes.empty() ? -1 : outcomes.back().slot;
 

@@ -18,6 +18,7 @@ BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
              {cfg.flow, cfg.packets_per_probe, cfg.packet_bytes, cfg.intra_probe_gap,
               cfg.ecn_probes},
              sim::flow_id_block(0xBA, cfg.flow)} {
+    train_.reserve(design_.probe_slots.size());
     for (const core::SlotIndex slot : design_.probe_slots) {
         const TimeNs at = cfg_.start + cfg_.slot_width * slot;
         sched_->schedule_at(at, [this, slot] { emit_probe(slot); });
@@ -43,8 +44,9 @@ void BadabingTool::accept(const sim::Packet& pkt) {
 }
 
 void BadabingTool::stream_outcomes(core::OutcomeSink& sink) const {
+    ProbeTrain::OutcomeWalk walk = train_.walk();
     for (const core::SlotIndex slot : design_.probe_slots) {
-        sink.consume(train_.outcome(slot, cfg_.start + cfg_.slot_width * slot));
+        sink.consume(walk.next(slot, cfg_.start + cfg_.slot_width * slot));
     }
 }
 
@@ -128,9 +130,10 @@ void FixedIntervalProber::accept(const sim::Packet& pkt) {
 }
 
 void FixedIntervalProber::stream_outcomes(core::OutcomeSink& sink) const {
+    ProbeTrain::OutcomeWalk walk = train_.walk();
     const auto probes = static_cast<std::int64_t>(train_.probes_sent());
     for (std::int64_t i = 0; i < probes; ++i) {
-        sink.consume(train_.outcome(i, cfg_.start + cfg_.interval * i));
+        sink.consume(walk.next(i, cfg_.start + cfg_.interval * i));
     }
 }
 

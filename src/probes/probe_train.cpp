@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/contract.h"
+
 namespace bb::probes {
 
 ProbeTrain::ProbeTrain(sim::Scheduler& sched, sim::PacketSink& out, const Shape& shape,
@@ -9,7 +11,9 @@ ProbeTrain::ProbeTrain(sim::Scheduler& sched, sim::PacketSink& out, const Shape&
     : sched_{&sched}, out_{&out}, shape_{shape}, next_id_{first_id} {}
 
 void ProbeTrain::send(std::int64_t key) {
-    ++probes_sent_;
+    BB_CHECK_MSG(records_.empty() || key > records_.back().key,
+                 "probe train: keys must strictly increase from send to send");
+    records_.push_back(Record{key});
     for (int k = 0; k < shape_.packets_per_probe; ++k) {
         sim::Packet pkt;
         pkt.id = ++next_id_;
@@ -38,8 +42,12 @@ void ProbeTrain::send(std::int64_t key) {
 
 bool ProbeTrain::receive(const sim::Packet& pkt, TimeNs receiver_clock) {
     if (pkt.kind != sim::PacketKind::probe || pkt.flow != shape_.flow) return false;
+    const auto it = std::lower_bound(
+        records_.begin(), records_.end(), pkt.seq,
+        [](const Record& r, std::int64_t key) { return r.key < key; });
+    if (it == records_.end() || it->key != pkt.seq) return false;
     ++packets_received_;
-    Record& rec = records_[pkt.seq];
+    Record& rec = *it;
     ++rec.received;
     if (pkt.ecn_ce) rec.ce = true;
     rec.max_owd = std::max(rec.max_owd, receiver_clock - pkt.sent_at);
@@ -47,16 +55,23 @@ bool ProbeTrain::receive(const sim::Packet& pkt, TimeNs receiver_clock) {
 }
 
 core::ProbeOutcome ProbeTrain::outcome(std::int64_t key, TimeNs send_time) const {
+    return walk().next(key, send_time);
+}
+
+core::ProbeOutcome ProbeTrain::OutcomeWalk::next(std::int64_t key, TimeNs send_time) {
+    const std::vector<Record>& records = train_->records_;
+    while (pos_ < records.size() && records[pos_].key < key) ++pos_;
     core::ProbeOutcome po;
     po.slot = key;
     po.send_time = send_time;
-    po.packets_sent = shape_.packets_per_probe;
-    po.packets_lost = shape_.packets_per_probe;
-    if (const auto it = records_.find(key); it != records_.end()) {
-        po.packets_lost -= it->second.received;
-        po.max_owd = it->second.max_owd;
-        po.any_received = it->second.received > 0;
-        po.ce_marked = it->second.ce;
+    po.packets_sent = train_->shape_.packets_per_probe;
+    po.packets_lost = po.packets_sent;
+    if (pos_ < records.size() && records[pos_].key == key) {
+        const Record& rec = records[pos_];
+        po.packets_lost -= rec.received;
+        po.max_owd = rec.max_owd;
+        po.any_received = rec.received > 0;
+        po.ce_marked = rec.ce;
     }
     return po;
 }

@@ -11,8 +11,9 @@
 #ifndef BB_PROBES_PROBE_TRAIN_H
 #define BB_PROBES_PROBE_TRAIN_H
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "core/types.h"
 #include "sim/packet.h"
@@ -38,19 +39,43 @@ public:
     ProbeTrain(const ProbeTrain&) = delete;
     ProbeTrain& operator=(const ProbeTrain&) = delete;
 
-    // Sender: emit the probe filed under `key`, starting now.
+    // Room in the receive record for `probes` sends (a drawn design knows
+    // its size up front).
+    void reserve(std::size_t probes) { records_.reserve(probes); }
+
+    // Sender: emit the probe filed under `key`, starting now.  Keys must
+    // strictly increase from one send to the next (BB_CHECK): a repeated key
+    // would merge two probes into one record.
     void send(std::int64_t key);
 
     // Receiver: file one arriving packet, its one-way delay read against
     // `receiver_clock` (the receiver's idea of now).  Returns false, and
-    // records nothing, for packets that are not this train's probes.
+    // records nothing, for packets that are not this train's probes: another
+    // flow, another kind, or a key that was never sent.
     bool receive(const sim::Packet& pkt, TimeNs receiver_clock);
 
-    // The outcome of probe `key`, sent at `send_time`; a probe with no
-    // recorded arrival lost every packet.
+    // Outcome assembly: one forward walk over the record.  next(key,
+    // send_time) is the outcome of probe `key`, sent at `send_time`; a probe
+    // with no recorded arrival lost every packet.  The keys asked for must
+    // increase from call to call.
+    class OutcomeWalk {
+    public:
+        [[nodiscard]] core::ProbeOutcome next(std::int64_t key, TimeNs send_time);
+
+    private:
+        friend class ProbeTrain;
+        explicit OutcomeWalk(const ProbeTrain& train) : train_{&train} {}
+
+        const ProbeTrain* train_;
+        std::size_t pos_{0};  // first record whose key is not below the last key asked
+    };
+    [[nodiscard]] OutcomeWalk walk() const { return OutcomeWalk{*this}; }
+
+    // One probe's outcome: walk().next(key, send_time), linear in the
+    // record, so whole-run assembly keeps one walk instead.
     [[nodiscard]] core::ProbeOutcome outcome(std::int64_t key, TimeNs send_time) const;
 
-    [[nodiscard]] std::uint64_t probes_sent() const noexcept { return probes_sent_; }
+    [[nodiscard]] std::uint64_t probes_sent() const noexcept { return records_.size(); }
     [[nodiscard]] std::uint64_t packets_sent() const noexcept { return packets_sent_; }
     [[nodiscard]] std::uint64_t packets_received() const noexcept {
         return packets_received_;
@@ -59,8 +84,9 @@ public:
 
 private:
     struct Record {
-        int received{0};
+        std::int64_t key{0};
         TimeNs max_owd{TimeNs::zero()};
+        int received{0};
         bool ce{false};
     };
 
@@ -69,10 +95,11 @@ private:
     Shape shape_;
     std::uint64_t next_id_;
 
-    // Ordered by key so no hashed walk can reorder outcome assembly
-    // (determinism rule no-unordered-container, DESIGN.md §14).
-    std::map<std::int64_t, Record> records_;
-    std::uint64_t probes_sent_{0};
+    // One record per send, sorted by key because send() appends keys in
+    // increasing order; arrivals find theirs by binary search.  A sorted
+    // vector keeps outcome assembly in key order (determinism rule
+    // no-unordered-container, DESIGN.md §14).
+    std::vector<Record> records_;
     std::uint64_t packets_sent_{0};
     std::uint64_t packets_received_{0};
     std::int64_t bytes_sent_{0};

@@ -206,5 +206,36 @@ TEST(ProbeTrain, IgnoresPacketsThatAreNotItsProbes) {
     EXPECT_FALSE(po.any_received);
 }
 
+TEST(ProbeTrain, RepeatedKeyIsACallerBug) {
+    sim::Scheduler sched;
+    PacketRecorder out{sched};
+    ProbeTrain train{sched, out, shape(), 0};
+    train.send(4);
+    EXPECT_DEATH(train.send(4), "keys must strictly increase");
+}
+
+TEST(ProbeTrain, DecreasingKeyIsACallerBug) {
+    sim::Scheduler sched;
+    PacketRecorder out{sched};
+    ProbeTrain train{sched, out, shape(), 0};
+    train.send(4);
+    EXPECT_DEATH(train.send(3), "keys must strictly increase");
+}
+
+TEST(ProbeTrain, PacketOfAKeyNeverSentIsRefused) {
+    sim::Scheduler sched;
+    PacketRecorder out{sched};
+    ProbeTrain train{sched, out, shape(), 0};
+    send_at(sched, train, TimeNs::zero(), 5);
+
+    // A probe packet of this flow, but filed under a key no send() made.
+    sim::Packet phantom = out.packets()[0];
+    phantom.seq = 6;
+    EXPECT_FALSE(train.receive(phantom, phantom.sent_at + milliseconds(1)));
+    EXPECT_EQ(train.packets_received(), 0u);
+    EXPECT_EQ(train.outcome(6, milliseconds(5)).packets_lost, 3);
+    EXPECT_EQ(train.outcome(5, TimeNs::zero()).packets_lost, 3);
+}
+
 }  // namespace
 }  // namespace bb::probes
