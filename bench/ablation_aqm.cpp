@@ -128,10 +128,10 @@ int main() {
         std::fprintf(stderr, "ablation sweep rejected: %s\n", sweep.error.c_str());
         return 1;
     }
-    if (const char* v = std::getenv("BB_BENCH_ABLATION_DURATION_S"); v != nullptr && *v != '\0') {
+    if (const std::int64_t seconds = env_int("BB_BENCH_ABLATION_DURATION_S", -1); seconds >= 0) {
         std::string err;
         if (!bb::json_set_path(sweep.sweep.base, "traffic.duration_s",
-                               bb::JsonValue::of_int(std::atoll(v)), err)) {
+                               bb::JsonValue::of_int(seconds), err)) {
             std::fprintf(stderr, "ablation sweep: traffic.duration_s: %s\n", err.c_str());
             return 1;
         }

@@ -1,18 +1,28 @@
 #include "common.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "scenarios/spec.h"
 
 namespace bb::bench {
 
-namespace {
 std::int64_t env_int(const char* name, std::int64_t fallback) {
     const char* v = std::getenv(name);
-    return v != nullptr ? std::atoll(v) : fallback;
+    if (v == nullptr || *v == '\0') return fallback;
+    std::int64_t out = 0;
+    const char* end = v + std::strlen(v);
+    const auto [ptr, ec] = std::from_chars(v, end, out);
+    if (ec != std::errc{} || ptr != end || out < 0) {
+        std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n", name, v);
+        std::exit(2);
+    }
+    return out;
 }
 
+namespace {
 // Every bench preset is rendered as a scenario-DSL document (env overrides
 // substituted into the text) and parsed by the same layer that serves
 // bb_sweep, so the benches and spec-driven runs cannot drift apart.
@@ -49,8 +59,7 @@ std::uint64_t bench_seed() {
 }
 
 std::size_t bench_threads() {
-    const std::int64_t n = env_int("BB_BENCH_THREADS", 0);
-    return n < 0 ? 0 : static_cast<std::size_t>(n);
+    return static_cast<std::size_t>(env_int("BB_BENCH_THREADS", 0));
 }
 
 scenarios::TestbedConfig bench_testbed() {

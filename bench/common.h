@@ -10,6 +10,11 @@
 
 namespace bb::bench {
 
+// Integer environment knob `name`, or `fallback` when it is unset or empty.
+// Anything but a whole non-negative decimal number ("5x", "two", "-1") is
+// refused with a diagnostic naming the variable, and the process exits 2.
+[[nodiscard]] std::int64_t env_int(const char* name, std::int64_t fallback);
+
 // Paper runs are 15 minutes.  BB_BENCH_DURATION_S overrides for quick looks.
 [[nodiscard]] TimeNs bench_duration();
 [[nodiscard]] std::uint64_t bench_seed();

@@ -1,6 +1,6 @@
 // micro_obs: instrumentation overhead on the streaming measurement hot loop.
 //
-// Runs the same synthetic pipeline as micro_stream (SyntheticSeriesGen ->
+// Runs the synthetic streaming pipeline (SyntheticSeriesGen ->
 // StreamingExperimentScorer -> StreamingAnalyzer) twice per repetition: once
 // with the obs kill switch off (BB_OBS=off semantics via obs::set_enabled)
 // and once with metrics enabled.  Asserts the estimates are bit-identical in
@@ -10,36 +10,29 @@
 //   BB_OBS_BENCH_SLOTS   slots per run (default 5'000'000)
 //   BB_OBS_BENCH_REPS    repetitions, best-of (default 3)
 //   BB_OBS_BENCH_GATE    "off" skips the <5% timing assert (CI smoke mode)
-//   BB_BENCH_JSON        directory for BENCH_micro_obs.json (default .)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
+#include "common.h"
 #include "core/probe_process.h"
 #include "core/streaming.h"
 #include "core/synthetic.h"
 #include "obs/control.h"
 #include "obs/metrics.h"
-#include "util/json.h"
 #include "obs/process_stats.h"
-#include "util/json_io.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace bb;
+using bb::bench::env_int;
 
 constexpr std::uint64_t kSeriesSeed = 0x5EED5;
 constexpr std::uint64_t kDesignSeed = 0xBADA0;
 constexpr double kMeanOnSlots = 20.0;
 constexpr double kMeanOffSlots = 180.0;
-
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-    const char* v = std::getenv(name);
-    return v != nullptr ? std::atoll(v) : fallback;
-}
 
 struct RunResult {
     double ms{0.0};
@@ -130,23 +123,6 @@ int main() {
     const obs::ProcessStats ps = obs::process_stats();
     std::printf("process : max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
                 static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);
-
-    const char* dir = std::getenv("BB_BENCH_JSON");
-    std::string path{dir != nullptr ? dir : "."};
-    if (path.empty() || path == "1") path = ".";
-    path += "/BENCH_micro_obs.json";
-    JsonWriter w{JsonWriter::Options{2, true}};
-    w.begin_object();
-    w.key("bench").value("micro_obs");
-    w.key("slots").value_int(static_cast<std::int64_t>(slots));
-    w.key("off_ms").value_double(off.ms, "%.3f");
-    w.key("on_ms").value_double(on.ms, "%.3f");
-    w.key("overhead_fraction").value_double(overhead, "%.5f");
-    w.key("reports").value_uint(on.reports);
-    w.key("reports_scored_counter").value_uint(scored);
-    w.key("identical").value(true);
-    w.end_object();
-    if (write_text_file(path, w.str() + "\n")) std::printf("json: wrote %s\n", path.c_str());
 
     if (gate && overhead > 0.05) {
         std::fprintf(stderr, "micro_obs: overhead %.2f%% exceeds the 5%% budget\n",

@@ -1,43 +1,42 @@
-// micro_record: recorder overhead on a full simulated experiment.
+// micro_record: recorder and hash-chain overhead on a full simulated
+// experiment.
 //
-// Runs the same cbr_uniform BADABING experiment three ways per repetition:
+// Runs the same cbr_uniform BADABING experiment four ways per repetition:
 // with no recorder attached (baseline), with an ExperimentRecorder sampling
-// at the default cadence (recorded), and with a recorder attached while the
-// BB_OBS kill switch is off (killed — must reduce to one cached-bool branch).
-// Asserts ground truth, queue drops, and the BADABING estimate are
-// bit-identical across all three modes, then gates the recorded run at < 5%
-// wall overhead over baseline (best-of-N to shave scheduler noise).
+// at the default cadence (recorded), with a recorder attached while the
+// BB_OBS kill switch is off (killed — must reduce to one cached-bool branch),
+// and under a core::HashScope that folds every dispatch, rng draw, verdict
+// and report into the run-state digest (hashed, DESIGN.md §14).  Asserts
+// ground truth, queue drops, and the BADABING estimate are bit-identical
+// across all four modes, then gates the recorded and the hashed run each at
+// < 5% wall overhead over baseline (best-of-N to shave scheduler noise).
 //
 //   BB_RECORD_BENCH_SECONDS   simulated seconds per run (default 1200 — long
 //                             enough that the timed region is ~150 ms wall and
 //                             scheduler jitter stays well under the 5% gate)
 //   BB_RECORD_BENCH_REPS      repetitions, best-of (default 3)
-//   BB_RECORD_BENCH_GATE      "off" skips the <5% timing assert (CI smoke mode)
-//   BB_BENCH_JSON             directory for BENCH_micro_record.json (default .)
+//   BB_RECORD_BENCH_GATE      "off" skips the <5% timing asserts (CI smoke mode)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <string>
+#include <optional>
 
 #include "common.h"
+#include "core/run_hasher.h"
 #include "obs/control.h"
 #include "scenarios/sim_record.h"
-#include "util/json.h"
-#include "util/json_io.h"
 
 namespace {
 
 using namespace bb;
 using namespace bb::bench;
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-    const char* v = std::getenv(name);
-    return v != nullptr ? std::atoll(v) : fallback;
-}
-
-enum class Mode { baseline, recorded, killed };
+// The four ways one experiment runs; also the index of its row in main().
+enum Mode : std::size_t { baseline, recorded, killed, hashed, mode_count };
+constexpr const char* kModeNames[mode_count] = {"baseline", "recorded", "BB_OBS=off",
+                                                "hashed"};
 
 struct RunResult {
     double ms{0.0};
@@ -47,23 +46,27 @@ struct RunResult {
     double est_frequency{0.0};
     std::uint64_t probes_sent{0};
     std::uint64_t recorder_samples{0};
+    std::uint64_t hash_records{0};
 };
 
 RunResult run_once(std::int64_t seconds, Mode mode) {
-    obs::set_enabled(mode != Mode::killed);
+    obs::set_enabled(mode != killed);
 
     auto wl = cbr_uniform_workload();
     wl.duration = seconds_i(seconds);
     wl.seed = bench_seed();
 
     const auto t0 = std::chrono::steady_clock::now();
+    core::RunHasher hasher;
+    std::optional<core::HashScope> hashing;
+    if (mode == hashed) hashing.emplace(hasher);
     scenarios::Experiment exp{bench_testbed(), wl, truth_for(wl)};
     probes::BadabingConfig bc;
     bc.p = 0.3;
     bc.total_slots = 0;
     auto& tool = exp.add_badabing(bc);
     std::unique_ptr<scenarios::ExperimentRecorder> recording;
-    if (mode != Mode::baseline) {
+    if (mode == recorded || mode == killed) {
         scenarios::SimRecordingConfig rc;
         rc.enabled = true;  // default cadence; the kill switch decides for `killed`
         recording = std::make_unique<scenarios::ExperimentRecorder>(exp, rc);
@@ -81,6 +84,7 @@ RunResult run_once(std::int64_t seconds, Mode mode) {
     out.est_frequency = tool.analyze(exp.default_marking(bc.p), {}).frequency.value;
     out.probes_sent = tool.probes_sent();
     if (recording) out.recorder_samples = recording->recorder().samples();
+    out.hash_records = hasher.records();
     obs::set_enabled(true);
     return out;
 }
@@ -99,37 +103,29 @@ int main() {
     const char* gate_env = std::getenv("BB_RECORD_BENCH_GATE");
     const bool gate = gate_env == nullptr || std::strcmp(gate_env, "off") != 0;
 
-    std::printf("micro_record: recorder overhead on a %llds cbr experiment "
-                "(best of %lld)\n",
+    std::printf("micro_record: recorder and hash-chain overhead on a %llds cbr "
+                "experiment (best of %lld)\n",
                 static_cast<long long>(seconds), static_cast<long long>(reps));
 
-    RunResult base{};
-    RunResult rec{};
-    RunResult kill{};
-    double best_base = -1.0;
-    double best_rec = -1.0;
-    double best_kill = -1.0;
+    // best[m] is mode m's fastest repetition.  Each repetition starts one
+    // mode later than the last, so no mode always runs first.
+    RunResult best[mode_count]{};
     for (std::int64_t r = 0; r < reps; ++r) {
-        const RunResult a = run_once(seconds, Mode::baseline);
-        const RunResult b = run_once(seconds, Mode::recorded);
-        const RunResult c = run_once(seconds, Mode::killed);
-        if (best_base < 0 || a.ms < best_base) {
-            best_base = a.ms;
-            base = a;
-        }
-        if (best_rec < 0 || b.ms < best_rec) {
-            best_rec = b.ms;
-            rec = b;
-        }
-        if (best_kill < 0 || c.ms < best_kill) {
-            best_kill = c.ms;
-            kill = c;
+        for (std::size_t i = 0; i < mode_count; ++i) {
+            const std::size_t m = (i + static_cast<std::size_t>(r)) % mode_count;
+            const RunResult run = run_once(seconds, static_cast<Mode>(m));
+            if (r == 0 || run.ms < best[m].ms) best[m] = run;
         }
     }
+    const RunResult& base = best[baseline];
+    const RunResult& rec = best[recorded];
+    const RunResult& kill = best[killed];
+    const RunResult& hash = best[hashed];
 
-    // Recording only reads state: every estimate must be bit-identical.
-    if (!identical(base, rec) || !identical(base, kill)) {
-        std::fprintf(stderr, "micro_record: estimates DIVERGED across recorder modes\n");
+    // Recording and hashing only read state: every estimate must be
+    // bit-identical.
+    if (!identical(base, rec) || !identical(base, kill) || !identical(base, hash)) {
+        std::fprintf(stderr, "micro_record: estimates DIVERGED across modes\n");
         return 1;
     }
     if (rec.recorder_samples == 0) {
@@ -140,43 +136,37 @@ int main() {
         std::fprintf(stderr, "micro_record: BB_OBS=off recorder still sampled\n");
         return 1;
     }
+    if (hash.hash_records == 0 || base.hash_records != 0) {
+        std::fprintf(stderr, "micro_record: only the hashed run may fold (%llu vs %llu)\n",
+                     static_cast<unsigned long long>(hash.hash_records),
+                     static_cast<unsigned long long>(base.hash_records));
+        return 1;
+    }
 
-    const double overhead = base.ms > 0.0 ? (rec.ms - base.ms) / base.ms : 0.0;
-    const double kill_delta = base.ms > 0.0 ? (kill.ms - base.ms) / base.ms : 0.0;
-    std::printf("%-12s | %-10s | %-8s | %s\n", "mode", "ms", "samples", "est freq");
-    std::printf("------------------------------------------------\n");
-    std::printf("%-12s | %-10.1f | %-8llu | %.6f\n", "baseline", base.ms,
-                static_cast<unsigned long long>(base.recorder_samples),
-                base.est_frequency);
-    std::printf("%-12s | %-10.1f | %-8llu | %.6f\n", "recorded", rec.ms,
-                static_cast<unsigned long long>(rec.recorder_samples), rec.est_frequency);
-    std::printf("%-12s | %-10.1f | %-8llu | %.6f\n", "BB_OBS=off", kill.ms,
-                static_cast<unsigned long long>(kill.recorder_samples),
-                kill.est_frequency);
-    std::printf("overhead: recorded %.2f%%, killed %.2f%% (budget 5%%%s)\n",
-                overhead * 100.0, kill_delta * 100.0, gate ? "" : ", gate off");
+    const auto over = [&base](const RunResult& r) {
+        return base.ms > 0.0 ? (r.ms - base.ms) / base.ms : 0.0;
+    };
+    std::printf("%-12s | %-10s | %-8s | %-10s | %s\n", "mode", "ms", "samples", "folds",
+                "est freq");
+    std::printf("-------------------------------------------------------------\n");
+    for (std::size_t m = 0; m < mode_count; ++m) {
+        const RunResult& r = best[m];
+        std::printf("%-12s | %-10.1f | %-8llu | %-10llu | %.6f\n", kModeNames[m], r.ms,
+                    static_cast<unsigned long long>(r.recorder_samples),
+                    static_cast<unsigned long long>(r.hash_records), r.est_frequency);
+    }
+    std::printf("overhead: recorded %.2f%%, killed %.2f%%, hashed %.2f%% (budget 5%%%s)\n",
+                over(rec) * 100.0, over(kill) * 100.0, over(hash) * 100.0,
+                gate ? "" : ", gate off");
 
-    const char* dir = std::getenv("BB_BENCH_JSON");
-    std::string path{dir != nullptr ? dir : "."};
-    if (path.empty() || path == "1") path = ".";
-    path += "/BENCH_micro_record.json";
-    JsonWriter w{JsonWriter::Options{2, true}};
-    w.begin_object();
-    w.key("bench").value("micro_record");
-    w.key("seconds").value_int(seconds);
-    w.key("baseline_ms").value_double(base.ms, "%.3f");
-    w.key("recorded_ms").value_double(rec.ms, "%.3f");
-    w.key("killed_ms").value_double(kill.ms, "%.3f");
-    w.key("overhead_fraction").value_double(overhead, "%.5f");
-    w.key("killed_delta_fraction").value_double(kill_delta, "%.5f");
-    w.key("recorder_samples").value_uint(rec.recorder_samples);
-    w.key("identical").value(true);
-    w.end_object();
-    if (write_text_file(path, w.str() + "\n")) std::printf("json: wrote %s\n", path.c_str());
-
-    if (gate && overhead > 0.05) {
-        std::fprintf(stderr, "micro_record: overhead %.2f%% exceeds the 5%% budget\n",
-                     overhead * 100.0);
+    if (gate && over(rec) > 0.05) {
+        std::fprintf(stderr, "micro_record: recorder overhead %.2f%% exceeds the 5%% budget\n",
+                     over(rec) * 100.0);
+        return 1;
+    }
+    if (gate && over(hash) > 0.05) {
+        std::fprintf(stderr, "micro_record: hash-chain overhead %.2f%% exceeds the 5%% budget\n",
+                     over(hash) * 100.0);
         return 1;
     }
     return 0;

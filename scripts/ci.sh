@@ -9,7 +9,7 @@
 #   BB_CI_SKIP_OBS=1 scripts/ci.sh    # skip the observability stage
 #   BB_CI_SKIP_SWEEP=1 scripts/ci.sh  # skip the sweep cache stage
 #   BB_CI_SKIP_DETERMINISM=1 scripts/ci.sh  # skip the cross-thread digest stage
-#   BB_SKIP_BENCH=1 scripts/ci.sh     # skip the perf-regression and perfbench stages
+#   BB_SKIP_BENCH=1 scripts/ci.sh     # skip the perfbench stage
 #
 # Each stage uses its own build directory (build, build-ubsan, build-audit,
 # build-asan, build-tsan) so sanitizer/contract flags never leak into the
@@ -34,12 +34,11 @@ if [[ "${BB_CI_SKIP_OBS:-0}" != 1 ]]; then
   BB_OBS_TRACE=1 ctest --test-dir build --output-on-failure -j "$JOBS"
 
   echo "==> obs: micro_obs smoke (assert-only, timing gate off)"
-  BB_OBS_BENCH_GATE=off BB_OBS_BENCH_SLOTS=500000 BB_OBS_BENCH_REPS=1 \
-    BB_BENCH_JSON=build ./build/bench/micro_obs
+  BB_OBS_BENCH_GATE=off BB_OBS_BENCH_SLOTS=500000 BB_OBS_BENCH_REPS=1 ./build/bench/micro_obs
 
-  echo "==> obs: micro_record smoke (assert-only, timing gate off)"
+  echo "==> obs: micro_record smoke: baseline/recorded/killed/hashed identity (timing gate off)"
   BB_RECORD_BENCH_GATE=off BB_RECORD_BENCH_SECONDS=20 BB_RECORD_BENCH_REPS=1 \
-    BB_BENCH_JSON=build ./build/bench/micro_record
+    ./build/bench/micro_record
 
   echo "==> obs: sweep with --series-out/--progress-json, validated via util/json"
   obs_dir=$(mktemp -d)
@@ -103,20 +102,22 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
 fi
 
 if [[ "${BB_SKIP_BENCH:-0}" != 1 ]]; then
-  echo "==> bench: perf-regression smoke (BB_BENCH_FAST=1 scripts/bench.sh --compare)"
-  BB_BENCH_FAST=1 scripts/bench.sh --compare
-
-  # The end-to-end benchmark builds in the tree perfbench/run.py uses, so its
-  # own build step finds e2e_bench up to date.
-  echo "==> bench: perfbench Release build + stepped_run_test + one-second run of every workload"
+  # perfbench/ is the only timing harness.  It builds in the tree
+  # perfbench/run.py uses, so run.py's own build step finds e2e_bench up to date.
+  echo "==> bench: perfbench Release build + stepped_run_test"
   pb_build="${CARGO_TARGET_DIR:-.bench_build}/perfbench"
   cmake -S perfbench -B "$pb_build" -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "$pb_build" -j "$JOBS"
   ctest --test-dir "$pb_build" --output-on-failure --no-tests=error -R '^stepped_run_test$'
   pb_log=$(mktemp)
   trap 'rm -f "$pb_log"' EXIT
-  python3 perfbench/run.py --workload all --seconds 1 | tee "$pb_log"
-  tail -n 1 "$pb_log" | python3 -c '
+  # --trace 0: plain repetitions; --trace 1: traced and hashed ones, whose
+  # outputs must equal the plain ones.  Either way every workload must report
+  # failed == 0.
+  for trace in 0 1; do
+    echo "==> bench: one-second perfbench run of every workload (--trace $trace)"
+    python3 perfbench/run.py --workload all --seconds 1 --trace "$trace" | tee "$pb_log"
+    tail -n 1 "$pb_log" | python3 -c '
 import json, sys
 results = json.loads(sys.stdin.read())
 if not results:
@@ -126,6 +127,7 @@ if bad:
     sys.exit(f"ci: perfbench workloads failed: {bad}")
 print(f"    perfbench: {len(results)} workloads, failed == 0 on each")
 '
+  done
   rm -f "$pb_log"
 fi
 

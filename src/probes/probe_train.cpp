@@ -1,6 +1,7 @@
 #include "probes/probe_train.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/contract.h"
 
@@ -8,7 +9,10 @@ namespace bb::probes {
 
 ProbeTrain::ProbeTrain(sim::Scheduler& sched, sim::PacketSink& out, const Shape& shape,
                        std::uint64_t first_id)
-    : sched_{&sched}, out_{&out}, shape_{shape}, next_id_{first_id} {}
+    : sched_{&sched}, out_{&out}, shape_{shape}, next_id_{first_id} {
+    BB_CHECK_MSG(shape.packets_per_probe >= 1 && shape.packets_per_probe <= 64,
+                 "probe train: packets_per_probe must be in [1, 64]");
+}
 
 void ProbeTrain::send(std::int64_t key) {
     BB_CHECK_MSG(records_.empty() || key > records_.back().key,
@@ -42,13 +46,16 @@ void ProbeTrain::send(std::int64_t key) {
 
 bool ProbeTrain::receive(const sim::Packet& pkt, TimeNs receiver_clock) {
     if (pkt.kind != sim::PacketKind::probe || pkt.flow != shape_.flow) return false;
+    if (pkt.probe_pkt < 0 || pkt.probe_pkt >= shape_.packets_per_probe) return false;
     const auto it = std::lower_bound(
         records_.begin(), records_.end(), pkt.seq,
         [](const Record& r, std::int64_t key) { return r.key < key; });
     if (it == records_.end() || it->key != pkt.seq) return false;
-    ++packets_received_;
     Record& rec = *it;
-    ++rec.received;
+    const std::uint64_t bit = std::uint64_t{1} << pkt.probe_pkt;
+    if ((rec.seen & bit) != 0) return false;  // a copy of a packet already filed
+    rec.seen |= bit;
+    ++packets_received_;
     if (pkt.ecn_ce) rec.ce = true;
     rec.max_owd = std::max(rec.max_owd, receiver_clock - pkt.sent_at);
     return true;
@@ -68,9 +75,9 @@ core::ProbeOutcome ProbeTrain::OutcomeWalk::next(std::int64_t key, TimeNs send_t
     po.packets_lost = po.packets_sent;
     if (pos_ < records.size() && records[pos_].key == key) {
         const Record& rec = records[pos_];
-        po.packets_lost -= rec.received;
+        po.packets_lost -= std::popcount(rec.seen);
         po.max_owd = rec.max_owd;
-        po.any_received = rec.received > 0;
+        po.any_received = rec.seen != 0;
         po.ce_marked = rec.ce;
     }
     return po;

@@ -33,6 +33,8 @@ public:
     };
 
     // `first_id` is the caller's flow_id_block; packet ids count up from it.
+    // `shape.packets_per_probe` must be in [1, 64] (BB_CHECK), the scenario
+    // spec's bound: the receive record keeps one bit per packet.
     ProbeTrain(sim::Scheduler& sched, sim::PacketSink& out, const Shape& shape,
                std::uint64_t first_id);
 
@@ -50,8 +52,9 @@ public:
 
     // Receiver: file one arriving packet, its one-way delay read against
     // `receiver_clock` (the receiver's idea of now).  Returns false, and
-    // records nothing, for packets that are not this train's probes: another
-    // flow, another kind, or a key that was never sent.
+    // records nothing, for packets that are not this train's probes (another
+    // flow, another kind, a key that was never sent, a `probe_pkt` outside
+    // the train) and for a copy of a packet already filed.
     bool receive(const sim::Packet& pkt, TimeNs receiver_clock);
 
     // Outcome assembly: one forward walk over the record.  next(key,
@@ -86,7 +89,7 @@ private:
     struct Record {
         std::int64_t key{0};
         TimeNs max_owd{TimeNs::zero()};
-        int received{0};
+        std::uint64_t seen{0};  // bit k: packet k of the probe arrived
         bool ce{false};
     };
 

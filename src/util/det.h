@@ -51,7 +51,7 @@ inline constexpr std::uint64_t kFnvPrime = 0x0000'0100'0000'01b3ULL;
 // with odd p is a bijection, so any single-word difference always changes
 // the digest — equality detection (all this chain is for) loses nothing,
 // while the fold stays cheap enough for the <= 5% enabled-overhead budget
-// on the per-event/per-draw hot paths (bench/micro_sim's hashed gate).
+// on the per-event/per-draw hot paths (bench/micro_record's hashed mode).
 [[nodiscard]] constexpr std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) noexcept {
     return (h ^ v) * kFnvPrime;
 }

@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "core/marking.h"
 #include "core/types.h"
 #include "sim/packet.h"
+#include "util/contract.h"
 #include "util/time.h"
 
 namespace bb::core::oracle {
@@ -51,15 +53,17 @@ public:
 
     void sent(std::int64_t key) { records_.emplace(key, Record{}); }
 
-    // Mirrors ProbeTrain::receive: packets of another flow or kind, or of a
-    // key never sent, are refused and leave no trace.
+    // Mirrors ProbeTrain::receive: packets of another flow or kind, of a key
+    // never sent or of an index outside the train, and copies of a packet
+    // already filed, are refused and leave no trace.
     bool receive(const sim::Packet& pkt, TimeNs receiver_clock) {
         if (pkt.kind != sim::PacketKind::probe || pkt.flow != flow_) return false;
+        if (pkt.probe_pkt < 0 || pkt.probe_pkt >= packets_per_probe_) return false;
         const auto it = records_.find(pkt.seq);
         if (it == records_.end()) return false;
-        ++received_;
         Record& rec = it->second;
-        ++rec.received;
+        if (!rec.arrived.insert(pkt.probe_pkt).second) return false;
+        ++received_;
         rec.ce = rec.ce || pkt.ecn_ce;
         const TimeNs owd = receiver_clock - pkt.sent_at;
         if (owd > rec.max_owd) rec.max_owd = owd;
@@ -74,8 +78,10 @@ public:
         po.packets_lost = packets_per_probe_;
         const auto it = records_.find(key);
         if (it != records_.end()) {
-            po.packets_lost = packets_per_probe_ - it->second.received;
-            po.any_received = it->second.received != 0;
+            const auto received = static_cast<int>(it->second.arrived.size());
+            BB_CHECK_MSG(received <= packets_per_probe_, "oracle: more arrivals than packets");
+            po.packets_lost = packets_per_probe_ - received;
+            po.any_received = received != 0;
             po.max_owd = it->second.max_owd;
             po.ce_marked = it->second.ce;
         }
@@ -86,7 +92,7 @@ public:
 
 private:
     struct Record {
-        int received{0};
+        std::set<std::int32_t> arrived;  // probe_pkt of every packet filed
         TimeNs max_owd{TimeNs::zero()};
         bool ce{false};
     };

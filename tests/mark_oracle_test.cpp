@@ -157,16 +157,18 @@ TEST(MarkOracle, ProbeTrainMatchesMapRecord) {
         sched.run();
         ASSERT_EQ(wire.packets.size(), keys.size() * kPackets);
 
-        // Arrivals: ~20% lost, ~10% CE-marked, random delays, so the
-        // packets of one key arrive apart and out of order; plus packets of
-        // unsent keys, another flow and another kind; all shuffled.  No
-        // packet is delivered twice: the record cannot tell a copy from a
-        // sibling, and the simulator never duplicates.
+        // Arrivals: ~20% lost, ~10% CE-marked, ~10% delivered twice (the
+        // copy with its own delay and CE mark), random delays, so the packets
+        // of one key arrive apart and out of order; plus packets of unsent
+        // keys, another flow and another kind; all shuffled.
         std::vector<std::pair<sim::Packet, TimeNs>> arrivals;
         for (sim::Packet pkt : wire.packets) {
             if (rng.bernoulli(0.2)) continue;
-            pkt.ecn_ce = rng.bernoulli(0.1);
-            arrivals.emplace_back(pkt, pkt.sent_at + microseconds(rng.uniform_int(100, 50'000)));
+            for (int copies = rng.bernoulli(0.1) ? 2 : 1; copies > 0; --copies) {
+                pkt.ecn_ce = rng.bernoulli(0.1);
+                arrivals.emplace_back(pkt,
+                                      pkt.sent_at + microseconds(rng.uniform_int(100, 50'000)));
+            }
         }
         for (int j = 0; j < 30; ++j) {
             sim::Packet stray = wire.packets[static_cast<std::size_t>(j)];

@@ -237,5 +237,63 @@ TEST(ProbeTrain, PacketOfAKeyNeverSentIsRefused) {
     EXPECT_EQ(train.outcome(5, TimeNs::zero()).packets_lost, 3);
 }
 
+TEST(ProbeTrain, DuplicateDeliveryCountedOnce) {
+    sim::Scheduler sched;
+    PacketRecorder out{sched};
+    ProbeTrain train{sched, out, shape(), 0};
+    send_at(sched, train, milliseconds(5), 3);
+    ASSERT_EQ(out.packets().size(), 3u);
+
+    // Packet 0 arrives three times and packet 2 twice; packet 1 is lost.  A
+    // copy is refused and leaves no trace, not even its larger delay.
+    const sim::Packet& p0 = out.packets()[0];
+    const sim::Packet& p2 = out.packets()[2];
+    EXPECT_TRUE(train.receive(p0, p0.sent_at + milliseconds(2)));
+    EXPECT_FALSE(train.receive(p0, p0.sent_at + milliseconds(2)));
+    EXPECT_FALSE(train.receive(p0, p0.sent_at + milliseconds(9)));
+    EXPECT_TRUE(train.receive(p2, p2.sent_at + milliseconds(3)));
+    EXPECT_FALSE(train.receive(p2, p2.sent_at + milliseconds(3)));
+
+    const core::ProbeOutcome po = train.outcome(3, milliseconds(5));
+    EXPECT_EQ(po.packets_lost, 1);
+    EXPECT_TRUE(po.any_received);
+    EXPECT_EQ(po.max_owd, milliseconds(3));
+    EXPECT_EQ(train.packets_received(), 2u);
+}
+
+TEST(ProbeTrain, PacketIndexOutsideTheTrainIsRefused) {
+    sim::Scheduler sched;
+    PacketRecorder out{sched};
+    ProbeTrain train{sched, out, shape(), 0};
+    send_at(sched, train, TimeNs::zero(), 1);
+
+    for (const std::int32_t k : {-1, 3, 64, 1000}) {
+        sim::Packet pkt = out.packets()[0];
+        pkt.probe_pkt = k;
+        EXPECT_FALSE(train.receive(pkt, pkt.sent_at + milliseconds(1))) << "probe_pkt " << k;
+    }
+    EXPECT_EQ(train.packets_received(), 0u);
+    EXPECT_EQ(train.outcome(1, TimeNs::zero()).packets_lost, 3);
+}
+
+TEST(ProbeTrain, SixtyFourPacketTrainFilesEveryPacket) {
+    sim::Scheduler sched;
+    PacketRecorder out{sched};
+    ProbeTrain train{sched, out, shape(64), 0};
+    send_at(sched, train, TimeNs::zero(), 0);
+    ASSERT_EQ(out.packets().size(), 64u);
+    for (const sim::Packet& pkt : out.packets()) {
+        EXPECT_TRUE(train.receive(pkt, pkt.sent_at + milliseconds(1)));
+    }
+    EXPECT_EQ(train.outcome(0, TimeNs::zero()).packets_lost, 0);
+}
+
+TEST(ProbeTrain, PacketsPerProbeOutsideOneToSixtyFourIsACallerBug) {
+    sim::Scheduler sched;
+    PacketRecorder out{sched};
+    EXPECT_DEATH((ProbeTrain{sched, out, shape(0), 0}), "packets_per_probe must be in \\[1, 64\\]");
+    EXPECT_DEATH((ProbeTrain{sched, out, shape(65), 0}), "packets_per_probe must be in \\[1, 64\\]");
+}
+
 }  // namespace
 }  // namespace bb::probes

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "core/estimators.h"
 #include "core/probe_process.h"
 #include "core/streaming.h"
 #include "core/synthetic.h"
@@ -145,6 +146,60 @@ TEST(StreamingEquivalence, SyntheticGeneratorMatchesBatchForRandomParams) {
         EXPECT_EQ(st.frequency, bt.frequency);
         EXPECT_EQ(st.mean_duration_slots, bt.mean_duration_slots);
         EXPECT_EQ(st.episodes, bt.episodes);
+    }
+}
+
+TEST(StreamingEquivalence, SyntheticPipelineMatchesBatchEstimates) {
+    // The whole O(1)-memory pipeline, SyntheticSeriesGen ->
+    // StreamingExperimentScorer -> StreamingAnalyzer, against the batch path
+    // (series, design and reports materialized, then tallied and estimated):
+    // the same number of reports and bit-identical estimates.
+    struct Case {
+        SlotIndex slots;
+        double p;
+        bool improved;
+        double mean_on;
+        double mean_off;
+        std::uint64_t series_seed;
+        std::uint64_t design_seed;
+    };
+    const Case cases[] = {
+        {1'000'000, 0.3, true, 20.0, 180.0, 0x5EED5, 0xBADA0},
+        {100'000, 0.1, false, 14.0, 986.0, 7, 11},
+        {100'000, 0.9, true, 3.0, 30.0, 3, 5},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(testing::Message() << c.slots << " slots, p " << c.p);
+        ProbeProcessConfig cfg;
+        cfg.p = c.p;
+        cfg.improved = c.improved;
+
+        Rng series_rng{c.series_seed};
+        const std::vector<bool> series =
+            synth_congestion_series(series_rng, c.slots, c.mean_on, c.mean_off);
+        Rng design_rng{c.design_seed};
+        const ProbeDesign design = design_probe_process(design_rng, c.slots, cfg);
+        const auto reports = score_experiments(design.experiments, [&series](SlotIndex s) {
+            return series[static_cast<std::size_t>(s)];
+        });
+        StateCounts counts;
+        for (const auto& r : reports) counts.add(r);
+        const Estimates batch = estimate_all(counts);
+
+        SyntheticSeriesGen gen{Rng{c.series_seed}, c.mean_on, c.mean_off};
+        StreamingAnalyzer analyzer;
+        StreamingExperimentScorer scorer{Rng{c.design_seed}, cfg, analyzer};
+        for (SlotIndex s = 0; s < c.slots; ++s) scorer.step(gen.next());
+        const StreamingAnalyzer::Result stream = analyzer.finalize();
+
+        ASSERT_GT(reports.size(), 0u);
+        EXPECT_EQ(stream.reports, reports.size());
+        EXPECT_EQ(stream.frequency.value, batch.frequency.value);
+        EXPECT_EQ(stream.frequency.samples, batch.frequency.samples);
+        EXPECT_EQ(stream.duration_basic.slots, batch.duration_basic.slots);
+        EXPECT_EQ(stream.duration_basic.valid, batch.duration_basic.valid);
+        EXPECT_EQ(stream.duration_improved.slots, batch.duration_improved.slots);
+        EXPECT_EQ(stream.duration_improved.valid, batch.duration_improved.valid);
     }
 }
 
